@@ -27,7 +27,6 @@ from .hardy_chi import (
     f_transform_inverse,
     mc_f_transform,
     norm_convergence_study,
-    phi_eval,
     phi_map,
     phi_map_adjoint,
 )

@@ -1059,6 +1059,7 @@ def suite_ftransform(cfg: RunConfig):
         2,
         mc_samples,
         cfg.seed + 60,
+        workers=cfg.workers,
     )
     cases.append(Case("ftransform.mc_orthogonality",
                       "distinct equal-degree basis functions are orthogonal within 4 sigma",
@@ -1259,7 +1260,9 @@ def cmd_ftransform(args) -> int:
         print(text)
     if args.norm_study:
         key = pt.BasisKey.from_label(args.norm_study_key)
-        rows = hc.norm_convergence_study(key, levels, args.samples, args.seed)
+        rows = hc.norm_convergence_study(
+            key, levels, args.samples, args.seed, workers=args.workers
+        )
         with open(args.norm_study, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["level", "empirical", "stderr", "limit_value", "samples"])

@@ -12,7 +12,6 @@ m = 1 and the finite-level norms of basis functions are reported as data
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,8 @@ from .fock_core import EVector, FockVector, TruncationSpec
 from .hardy_w import HardyWFunction
 from .operators import exp_annihilation, exp_creation
 from .partitions import BasisKey, w_norm_sq
-from .unitary_haar import DEFAULT_CHUNK, VirtualUnitary, chunk_plan, haar_batch, substream
+from .unitary_haar import DEFAULT_CHUNK, chunk_plan, haar_batch, substream
+from .unitary_haar import _chunk_stats, _map_chunks, _mean_stderr, _merge_stats, _z_score
 
 
 @dataclass
@@ -156,48 +156,7 @@ def chi_mult_generator(
     return phi_map(psi)
 
 
-# -- evaluation on virtual unitaries ------------------------------------------
-
-def phi_eval(u: VirtualUnitary, key: BasisKey, level: int | None = None) -> complex:
-    """Value of a basis function: product of powers of first-row entries."""
-    m = u.top_level if level is None else level
-    matrix = u.level(m)
-    value = 1.0 + 0.0j
-    for part, index in zip(key.diagram.parts, key.tuple.indices):
-        if index > m:
-            raise ValueError(f"index {index} exceeds level size {m}")
-        value *= matrix[0, index - 1] ** part
-    return complex(value)
-
-
-@dataclass
-class PhiSample:
-    """One virtual unitary with its cached first-row coordinate values."""
-
-    u: VirtualUnitary
-    level: int
-    values: np.ndarray
-
-    @classmethod
-    def from_unitary(cls, u: VirtualUnitary, level: int, dim: int) -> "PhiSample":
-        row = u.level(level)[0, : min(dim, level)]
-        values = np.zeros(dim, dtype=complex)
-        values[: row.size] = row
-        total = float(np.sum(np.abs(values) ** 2))
-        if total > 1.0 + 1e-9:
-            raise ValueError("first-row mass exceeds 1")
-        return cls(u, level, values)
-
-    def eval_key(self, key: BasisKey) -> complex:
-        value = 1.0 + 0.0j
-        for part, index in zip(key.diagram.parts, key.tuple.indices):
-            value *= self.values[index - 1] ** part
-        return complex(value)
-
-
-def _rows_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_batch(m, count, rng)[:, 0, :]
-
+# -- Monte Carlo estimators ---------------------------------------------------
 
 def _eval_keys_on_rows(rows: np.ndarray, items) -> np.ndarray:
     """Sum of coeff * product of first-row powers, per sample."""
@@ -219,52 +178,35 @@ class MCEstimate:
     samples: int
 
     def z_against(self, target: complex) -> float:
-        gap = abs(self.estimate - complex(target))
-        if self.stderr == 0.0:
-            return 0.0 if gap <= 1e-12 else math.inf
-        return gap / self.stderr
+        return _z_score(self.estimate, complex(target), self.stderr)
 
 
-def _combine_complex(sums, count: int) -> MCEstimate:
-    s1, s2 = sums
-    mean = s1 / count
-    var = max(s2 / count - abs(mean) ** 2, 0.0)
-    return MCEstimate(complex(mean), math.sqrt(var / count), count)
+def _mc_estimate(stats: tuple) -> MCEstimate:
+    mean, stderr = _mean_stderr(stats)
+    return MCEstimate(complex(mean), stderr, stats[0])
 
 
 def _mc_chunk(args):
     m, seed, chunk_index, count, items, x_coords, degrees = args
-    rng = substream(seed, chunk_index)
-    rows = _rows_batch(m, count, rng)
+    rows = haar_batch(m, count, substream(seed, chunk_index))[:, 0, :]
     xbar = np.array([complex(v).conjugate() for v in x_coords])
     width = min(rows.shape[1], xbar.size)
     phi_x = rows[:, :width] @ xbar[:width]
     weight = np.exp(phi_x.conj())
     f_vals = _eval_keys_on_rows(rows, items)
-    full = weight * f_vals
-    sums = {"full": (full.sum(), float(np.sum(np.abs(full) ** 2)))}
+    stats = {"full": _chunk_stats(weight * f_vals)}
     for n in degrees:
         part = [(k, c) for k, c in items if k.degree() == n]
-        vals = (phi_x.conj() ** n) * _eval_keys_on_rows(rows, part)
-        sums[f"deg{n}"] = (vals.sum(), float(np.sum(np.abs(vals) ** 2)))
-    return sums
+        stats[f"deg{n}"] = _chunk_stats((phi_x.conj() ** n) * _eval_keys_on_rows(rows, part))
+    return stats
 
 
 @dataclass
-class TransformEstimate:
+class TransformEstimate(MCEstimate):
     """MC record of the integral transform at one evaluation point and level."""
 
     level: int
-    estimate: complex
-    stderr: float
-    samples: int
     taylor_terms: dict
-
-    def z_against(self, target: complex) -> float:
-        gap = abs(self.estimate - complex(target))
-        if self.stderr == 0.0:
-            return 0.0 if gap <= 1e-12 else math.inf
-        return gap / self.stderr
 
     def as_dict(self) -> dict:
         return {
@@ -308,30 +250,10 @@ def mc_f_transform(
         (level, seed, index, count, items, tuple(x.coords), degrees)
         for index, count in plan
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_mc_chunk, tasks))
-    else:
-        results = [_mc_chunk(t) for t in tasks]
-    totals: dict[str, list] = {}
-    for res in results:
-        for name, (s1, s2) in res.items():
-            acc = totals.setdefault(name, [0.0 + 0.0j, 0.0])
-            acc[0] += s1
-            acc[1] += s2
-    full = _combine_complex(totals["full"], samples)
-    taylor = {
-        n: _combine_complex(totals[f"deg{n}"], samples) for n in degrees
-    }
-    return TransformEstimate(level, full.estimate, full.stderr, samples, taylor)
-
-
-def _norm_chunk(args):
-    m, seed, chunk_index, count, items = args
-    rng = substream(seed, chunk_index)
-    rows = _rows_batch(m, count, rng)
-    vals = np.abs(_eval_keys_on_rows(rows, items)) ** 2
-    return float(vals.sum()), float(np.sum(vals**2))
+    totals = _merge_stats(_map_chunks(_mc_chunk, tasks, workers))
+    full = _mc_estimate(totals["full"])
+    taylor = {n: _mc_estimate(totals[f"deg{n}"]) for n in degrees}
+    return TransformEstimate(full.estimate, full.stderr, full.samples, level, taylor)
 
 
 def norm_convergence_study(
@@ -344,31 +266,22 @@ def norm_convergence_study(
 ) -> list[dict]:
     """Empirical squared norms of one basis function across sampling levels.
 
-    Report-only: the finite-level values decay with the level while the
-    limiting weight is a fixed positive rational; the table records both
-    without asserting agreement.
+    Each value is the pair integral of the key with itself.  Report-only: the
+    finite-level values decay with the level while the limiting weight is a
+    fixed positive rational; the table records both without asserting
+    agreement.
     """
     limit = float(w_norm_sq(key.diagram))
     rows = []
     for m in levels:
         if key.max_index() > m:
             raise ValueError(f"key {key.label()} needs level >= {key.max_index()}")
-        plan = chunk_plan(samples, chunk)
-        tasks = [(m, seed, index, count, ((key, 1.0),)) for index, count in plan]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_norm_chunk, tasks))
-        else:
-            results = [_norm_chunk(t) for t in tasks]
-        s1 = sum(r[0] for r in results)
-        s2 = sum(r[1] for r in results)
-        mean = s1 / samples
-        var = max(s2 / samples - mean**2, 0.0)
+        est = mc_pair_integral(key, key, m, samples, seed, chunk, workers)
         rows.append(
             {
                 "level": int(m),
-                "empirical": mean,
-                "stderr": math.sqrt(var / samples),
+                "empirical": est.estimate.real,
+                "stderr": est.stderr,
                 "limit_value": limit,
                 "samples": samples,
             }
@@ -378,10 +291,9 @@ def norm_convergence_study(
 
 def _pair_chunk(args):
     m, seed, chunk_index, count, items1, items2 = args
-    rng = substream(seed, chunk_index)
-    rows = _rows_batch(m, count, rng)
+    rows = haar_batch(m, count, substream(seed, chunk_index))[:, 0, :]
     vals = _eval_keys_on_rows(rows, items1) * _eval_keys_on_rows(rows, items2).conj()
-    return vals.sum(), float(np.sum(np.abs(vals) ** 2))
+    return {"pair": _chunk_stats(vals)}
 
 
 def mc_pair_integral(
@@ -391,15 +303,14 @@ def mc_pair_integral(
     samples: int,
     seed: int,
     chunk: int = DEFAULT_CHUNK,
+    workers: int = 1,
 ) -> MCEstimate:
     """Haar integral of one basis function against the conjugate of another."""
-    plan = chunk_plan(samples, chunk)
-    s1, s2 = 0.0 + 0.0j, 0.0
-    for index, count in plan:
-        a, b = _pair_chunk((level, seed, index, count, ((key1, 1.0),), ((key2, 1.0),)))
-        s1 += a
-        s2 += b
-    return _combine_complex((s1, s2), samples)
+    tasks = [
+        (level, seed, index, count, ((key1, 1.0),), ((key2, 1.0),))
+        for index, count in chunk_plan(samples, chunk)
+    ]
+    return _mc_estimate(_merge_stats(_map_chunks(_pair_chunk, tasks, workers))["pair"])
 
 
 def closed_form_level_one(key: BasisKey, x: EVector) -> complex:

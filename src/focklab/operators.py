@@ -261,18 +261,39 @@ def export_blocks(op: OperatorMatrix, path) -> None:
 
 
 def load_blocks(path) -> OperatorMatrix:
+    """Read a file written by ``export_blocks``; a malformed one raises ValueError.
+
+    Block shapes must match the degree-basis sizes binomial(n+dim-1, n), and
+    the file must end with the last block.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+
+        def read(size: int, what: str) -> bytes:
+            chunk = fh.read(size)
+            if len(chunk) != size:
+                raise ValueError(f"truncated operator block file: {what} has {len(chunk)} "
+                                 f"of {size} bytes")
+            return chunk
+
+        if read(4, "magic") != _MAGIC:
             raise ValueError("not an operator block file")
-        version, max_degree, dim = struct.unpack("<III", fh.read(12))
+        version, max_degree, dim, count = struct.unpack("<IIII", read(16, "file header"))
         if version != 1:
             raise ValueError(f"unsupported version {version}")
-        count = struct.unpack("<I", fh.read(4))[0]
         spec = TruncationSpec(max_degree, dim)
+        if count > (max_degree + 1) ** 2:
+            raise ValueError(f"block count {count} exceeds the degree pairs of {spec}")
         blocks = {}
         for _ in range(count):
-            src, tgt, rows, cols = struct.unpack("<IIII", fh.read(16))
-            raw = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
+            src, tgt, rows, cols = struct.unpack("<IIII", read(16, "block header"))
+            if max(src, tgt) > max_degree or (src, tgt) in blocks:
+                raise ValueError(f"degree pair ({src}, {tgt}) is outside {spec} or repeated")
+            shape = (math.comb(tgt + dim - 1, tgt), math.comb(src + dim - 1, src))
+            if (rows, cols) != shape:
+                raise ValueError(f"block ({src}, {tgt}) has shape {(rows, cols)}, not {shape}")
+            raw = np.frombuffer(read(rows * cols * 16, f"block ({src}, {tgt})"), dtype="<f8")
             raw = raw.reshape(rows, cols, 2)
             blocks[(src, tgt)] = raw[..., 0] + 1j * raw[..., 1]
-        return OperatorMatrix(spec, blocks)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last block")
+    return OperatorMatrix(spec, blocks)

@@ -9,8 +9,11 @@ chunk order, so results are bitwise reproducible for any worker count.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +21,9 @@ import numpy as np
 UNITARITY_TOL = 1e-10
 LIVSIC_BRANCH_TOL = 1e-12
 DEFAULT_CHUNK = 8192
+# Below this gap an estimate counts as exact whatever its standard error:
+# degenerate moments (|u11|^2 = 1 at m = 1) have a standard error at roundoff.
+EXACT_GAP = 1e-12
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -175,6 +181,91 @@ def right_action(
     return VirtualUnitary(m, new_top, max(u.depth, m))
 
 
+# -- chunked Monte Carlo engine ----------------------------------------------
+
+# (pool, worker count, pid of the process that built it)
+_POOL: tuple | None = None
+
+
+def _shutdown_pool() -> None:
+    """Drop the cached pool; only the process that built it shuts it down."""
+    global _POOL
+    if _POOL is not None:
+        pool, _, pid = _POOL
+        _POOL = None
+        if pid == os.getpid():
+            pool.shutdown()
+
+
+atexit.register(_shutdown_pool)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool, rebuilt when the worker count or the process changes."""
+    global _POOL
+    if _POOL is None or _POOL[1:] != (workers, os.getpid()):
+        _shutdown_pool()
+        _POOL = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
+    return _POOL[0]
+
+
+def _map_chunks(fn, tasks, workers: int) -> list:
+    """Results of ``fn`` over the chunk tasks, in task order.
+
+    One worker runs in this process.  More share one pool that lives as long
+    as the process; a pool broken by a dead worker is replaced once and the
+    chunks rerun, which is safe because each chunk is a pure function of its
+    task.
+    """
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    try:
+        return list(_pool(workers).map(fn, tasks))
+    except BrokenProcessPool:
+        _shutdown_pool()
+        return list(_pool(workers).map(fn, tasks))
+
+
+def _chunk_stats(values: np.ndarray) -> tuple:
+    """(count, mean, M2) of one chunk's values; M2 sums |x - mean|^2."""
+    mean = values.sum() / values.size
+    dev = values - mean
+    return values.size, mean, float(np.sum((dev * dev.conj()).real))
+
+
+def _merge_stats(chunks: list[dict]) -> dict[str, tuple]:
+    """Per-name (count, mean, M2) of chunk statistics merged in chunk order.
+
+    Pairwise update of Chan, Golub & LeVeque (1979): no raw sum of squares
+    is formed, so the variance survives a mean much larger than the spread.
+    """
+    total = dict(chunks[0])
+    for stats in chunks[1:]:
+        for name, (nb, mb, qb) in stats.items():
+            na, ma, qa = total[name]
+            n = na + nb
+            delta = mb - ma
+            total[name] = (n, ma + delta * (nb / n), qa + qb + abs(delta) ** 2 * (na * nb / n))
+    return total
+
+
+def _mean_stderr(stats: tuple) -> tuple:
+    n, mean, m2 = stats
+    return mean, math.sqrt(m2 / n / n)
+
+
+def _z_score(estimate, target, stderr: float) -> float:
+    """Gap over standard error: signed for real estimates, |gap| for complex."""
+    gap = estimate - target
+    if isinstance(gap, complex):
+        gap = abs(gap)
+    if abs(gap) <= EXACT_GAP:
+        return 0.0
+    if stderr == 0.0:
+        return math.copysign(math.inf, gap)
+    return float(gap / stderr)
+
+
 # -- moment machinery --------------------------------------------------------
 
 MOMENT_NAMES = ("abs_u11_sq", "abs_u11_quad", "abs_trace_sq", "re_u11", "im_u11")
@@ -192,30 +283,31 @@ def exact_moment(name: str, m: int) -> float:
     raise ValueError(f"unknown moment {name!r}")
 
 
-def _moment_values(batch: np.ndarray) -> dict[str, np.ndarray]:
+def _moment_stats(batch: np.ndarray) -> dict[str, tuple]:
     u11 = batch[:, 0, 0]
     trace = np.einsum("...ii->...", batch)
-    return {
+    values = {
         "abs_u11_sq": np.abs(u11) ** 2,
         "abs_u11_quad": np.abs(u11) ** 4,
         "abs_trace_sq": np.abs(trace) ** 2,
         "re_u11": u11.real,
         "im_u11": u11.imag,
     }
+    return {name: _chunk_stats(vals) for name, vals in values.items()}
 
 
-def _haar_chunk_sums(args):
+def _haar_chunk(args):
     m, seed, chunk_index, count, transform = args
     rng = substream(seed, chunk_index)
     if transform == "project":
         batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
-    else:
-        batch = haar_batch(m, count, rng)
-        branches = 0
-    values = _moment_values(batch)
-    sums = {name: (vals.sum(), (vals**2).sum()) for name, vals in values.items()}
-    defect = unitarity_defect(batch) if transform == "project" else 0.0
-    return sums, branches, defect
+        return _moment_stats(batch), branches, unitarity_defect(batch)
+    batch = haar_batch(m, count, rng)
+    if transform == "left":
+        batch = _fourier_unitary(m) @ batch
+    elif transform == "right":
+        batch = batch @ _fourier_unitary(m)
+    return _moment_stats(batch), 0, 0.0
 
 
 @dataclass
@@ -226,10 +318,23 @@ class MomentEstimate:
     samples: int
 
     def z_against(self, target: float) -> float:
-        gap = self.mean - target
-        if self.stderr == 0.0:
-            return 0.0 if abs(gap) <= 1e-12 else math.inf
-        return gap / self.stderr
+        return _z_score(self.mean, target, self.stderr)
+
+
+def _moment_rows(estimates: dict[str, MomentEstimate], m: int) -> list[dict]:
+    rows = []
+    for name, est in estimates.items():
+        exact = exact_moment(name, m)
+        rows.append(
+            {
+                "name": name,
+                "empirical": est.mean,
+                "exact": exact,
+                "stderr": est.stderr,
+                "z": est.z_against(exact),
+            }
+        )
+    return rows
 
 
 def sample_moments(
@@ -242,63 +347,29 @@ def sample_moments(
 ) -> tuple[dict[str, MomentEstimate], dict]:
     """Moment estimates of Haar samples (or their Livšic projections).
 
-    ``transform="project"`` samples at size m+1 and projects down to size m.
-    Returns the estimates and a small diagnostics record (branch events and
-    the worst unitarity defect seen among projected matrices).
+    ``transform="project"`` samples at size m+1 and projects down to size m;
+    ``"left"`` and ``"right"`` multiply each sample by a fixed unitary V on
+    that side.  Returns the estimates and a small diagnostics record (branch
+    events and the worst unitarity defect seen among projected matrices).
     """
-    plan = chunk_plan(samples, chunk)
-    tasks = [(m, seed, index, count, transform) for index, count in plan]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_haar_chunk_sums, tasks))
-    else:
-        results = [_haar_chunk_sums(t) for t in tasks]
-    totals = {name: [0.0, 0.0] for name in MOMENT_NAMES}
-    branches = 0
-    worst_defect = 0.0
-    for sums, chunk_branches, defect in results:
-        for name, (s1, s2) in sums.items():
-            totals[name][0] += s1
-            totals[name][1] += s2
-        branches += chunk_branches
-        worst_defect = max(worst_defect, defect)
+    tasks = [(m, seed, index, count, transform) for index, count in chunk_plan(samples, chunk)]
+    results = _map_chunks(_haar_chunk, tasks, workers)
     estimates = {}
-    for name, (s1, s2) in totals.items():
-        mean = s1 / samples
-        var = max(s2 / samples - mean**2, 0.0)
-        stderr = math.sqrt(var / samples)
-        estimates[name] = MomentEstimate(name, float(mean), float(stderr), samples)
-    diagnostics = {"branch_events": branches, "worst_defect": worst_defect}
+    for name, stats in _merge_stats([r[0] for r in results]).items():
+        mean, stderr = _mean_stderr(stats)
+        estimates[name] = MomentEstimate(name, float(mean), stderr, samples)
+    diagnostics = {
+        "branch_events": sum(r[1] for r in results),
+        "worst_defect": max(r[2] for r in results),
+    }
     return estimates, diagnostics
 
 
 def haar_moment_report(m: int, samples: int, seed: int, workers: int = 1) -> dict:
     """Empirical vs exact low moments of the Haar distribution at size m."""
     estimates, diagnostics = sample_moments(m, samples, seed, "direct", workers=workers)
-    moments = []
-    for name in MOMENT_NAMES:
-        est = estimates[name]
-        exact = exact_moment(name, m)
-        moments.append(
-            {
-                "name": name,
-                "empirical": est.mean,
-                "exact": exact,
-                "stderr": est.stderr,
-                "z": est.z_against(exact),
-            }
-        )
+    moments = _moment_rows(estimates, m)
     return {"m": m, "samples": samples, "seed": seed, "moments": moments, **diagnostics}
-
-
-def _invariance_chunk(args):
-    m, seed, chunk_index, count, side = args
-    rng = substream(seed, chunk_index)
-    batch = haar_batch(m, count, rng)
-    fixed = _fourier_unitary(m)
-    batch = fixed @ batch if side == "left" else batch @ fixed
-    values = _moment_values(batch)
-    return {name: (vals.sum(), (vals**2).sum()) for name, vals in values.items()}
 
 
 def _fourier_unitary(m: int) -> np.ndarray:
@@ -310,26 +381,8 @@ def invariance_report(m: int, samples: int, seed: int, workers: int = 1) -> dict
     """Moments of V.U and U.V for a fixed unitary V against the exact values."""
     out = {"m": m, "samples": samples, "seed": seed, "sides": {}}
     for side in ("left", "right"):
-        plan = chunk_plan(samples)
-        tasks = [(m, seed, index, count, side) for index, count in plan]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_invariance_chunk, tasks))
-        else:
-            results = [_invariance_chunk(t) for t in tasks]
-        moments = []
-        for name in MOMENT_NAMES:
-            s1 = sum(r[name][0] for r in results)
-            s2 = sum(r[name][1] for r in results)
-            mean = s1 / samples
-            var = max(s2 / samples - mean**2, 0.0)
-            stderr = math.sqrt(var / samples)
-            exact = exact_moment(name, m)
-            z = 0.0 if stderr == 0 else (mean - exact) / stderr
-            moments.append(
-                {"name": name, "empirical": mean, "exact": exact, "stderr": stderr, "z": z}
-            )
-        out["sides"][side] = moments
+        estimates, _ = sample_moments(m, samples, seed, side, workers=workers)
+        out["sides"][side] = _moment_rows(estimates, m)
     return out
 
 
@@ -349,14 +402,13 @@ def pushforward_consistency(
     for name in MOMENT_NAMES:
         p, q = projected[name], direct[name]
         spread = math.sqrt(p.stderr**2 + q.stderr**2)
-        z = 0.0 if spread == 0 else (p.mean - q.mean) / spread
         moments.append(
             {
                 "name": name,
                 "projected": p.mean,
                 "direct": q.mean,
                 "stderr": spread,
-                "z": z,
+                "z": _z_score(p.mean, q.mean, spread),
             }
         )
     return {"m": m, "samples": samples, "seed": seed, "moments": moments, **diagnostics}

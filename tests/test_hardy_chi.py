@@ -1,15 +1,16 @@
 """Coefficient and Monte Carlo models of the Hardy space over unitaries."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from focklab import polycalc as pc
+from focklab import unitary_haar as uh
 from focklab.fock_core import EVector, FockVector, GRAM_W, TruncationSpec
 from focklab.hardy_chi import (
     HardyChiFunction,
-    PhiSample,
     chi_mult_generator,
     chi_shift_generator,
     closed_form_level_one,
@@ -19,7 +20,6 @@ from focklab.hardy_chi import (
     mc_pair_integral,
     mult_group_chi,
     norm_convergence_study,
-    phi_eval,
     phi_map,
     phi_map_adjoint,
     shift_group_chi,
@@ -35,7 +35,7 @@ from focklab.hardy_w import (
 )
 from focklab.operators import MONOMIAL, W_ADJOINT
 from focklab.partitions import BasisKey, w_norm_sq
-from focklab.unitary_haar import embed_stabilized, haar_sample
+from focklab.unitary_haar import invariance_report, pushforward_consistency, sample_moments
 
 SPEC = TruncationSpec(6, 3)
 
@@ -143,26 +143,6 @@ def test_generator_sandwich_matches_transport():
             assert (via_sandwich - via_transform).norm() < 1e-10
 
 
-def test_phi_eval_examples():
-    ident = embed_stabilized(np.eye(3, dtype=complex), 4)
-    assert phi_eval(ident, BasisKey.vacuum()) == 1.0
-    assert phi_eval(ident, BasisKey.make((4,), (1,)), level=3) == pytest.approx(1.0)
-    assert phi_eval(ident, BasisKey.make((1,), (2,))) == pytest.approx(0.0)
-    swap = embed_stabilized(np.array([[0, 1], [1, 0]], dtype=complex), 3)
-    assert phi_eval(swap, BasisKey.make((1,), (2,)), level=2) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        phi_eval(swap, BasisKey.make((1,), (3,)), level=2)
-
-
-def test_phi_sample_row_mass():
-    rng = np.random.default_rng(7)
-    u = embed_stabilized(haar_sample(3, rng), 4)
-    sample = PhiSample.from_unitary(u, 3, 5)
-    assert np.sum(np.abs(sample.values) ** 2) <= 1 + 1e-12
-    key = BasisKey.make((2, 1), (1, 2))
-    assert sample.eval_key(key) == pytest.approx(phi_eval(u, key) ** 0 * phi_eval(u, key))
-
-
 def test_mc_closed_forms_level_one():
     x = EVector((0.7 - 0.2j, 0.0, 0.0))
     const = HardyChiFunction.constant(SPEC)
@@ -219,3 +199,43 @@ def test_mc_orthogonality():
         BasisKey.make((2,), (1,)), BasisKey.make((1, 1), (1, 2)), 2, 30000, seed=17
     )
     assert est.z_against(0.0) < 4.0
+
+
+def test_stderr_survives_large_mean():
+    f = HardyChiFunction(SPEC, {BasisKey.vacuum(): 1e8, BasisKey.make((1,), (1,)): 1.0})
+    est = mc_f_transform(f, EVector.zero(3), 1, 50000, seed=3)
+    assert est.stderr == pytest.approx(1 / math.sqrt(50000), rel=0.01)
+    assert math.isfinite(est.z_against(1e8))
+
+
+def test_mc_estimators_independent_of_workers(fresh_pool):
+    f = HardyChiFunction.basis(SPEC, BasisKey.make((2, 1), (1, 2)), 0.5 - 1j)
+    x = EVector((0.4 - 0.3j, 0.2j, 0.0))
+    one = mc_f_transform(f, x, 2, 20000, seed=31, workers=1)
+    two = mc_f_transform(f, x, 2, 20000, seed=31, workers=2)
+    assert json.dumps(one.as_dict()) == json.dumps(two.as_dict())
+    key = BasisKey.make((2,), (1,))
+    one = norm_convergence_study(key, (1, 2, 4), 20000, seed=32, workers=1)
+    two = norm_convergence_study(key, (1, 2, 4), 20000, seed=32, workers=2)
+    assert json.dumps(one) == json.dumps(two)
+
+
+def test_estimators_share_one_pool(fresh_pool, monkeypatch):
+    built = []
+
+    class CountingPool(uh.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(uh, "ProcessPoolExecutor", CountingPool)
+    key = BasisKey.make((1,), (1,))
+    for seed in (41, 42):
+        sample_moments(2, 20000, seed, workers=2)
+        invariance_report(2, 20000, seed, workers=2)
+        pushforward_consistency(2, 20000, seed, workers=2)
+        mc_f_transform(HardyChiFunction.basis(SPEC, key), EVector((0.5, 0, 0)), 1, 20000,
+                       seed, workers=2)
+        norm_convergence_study(key, (1, 2), 20000, seed, workers=2)
+        mc_pair_integral(key, key, 2, 20000, seed, workers=2)
+    assert len(built) == 1

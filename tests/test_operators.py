@@ -206,3 +206,44 @@ def test_block_export_round_trip(tmp_path):
     back = load_blocks(path)
     assert back.spec == SPEC
     assert op.max_block_difference(back) == 0.0
+
+
+def _corrupt_export(tmp_path, edit):
+    """Export exp_creation at (3,2), apply ``edit`` to the bytes, and load the result."""
+    op = exp_creation(_rand(np.random.default_rng(8), dim=2), TruncationSpec(3, 2))
+    path = tmp_path / "op.fkop"
+    export_blocks(op, path)
+    path.write_bytes(edit(bytearray(path.read_bytes())))
+    return load_blocks(path)
+
+
+# the block count sits at offset 16; the first block header follows it:
+# source degree at offset 20, target degree at 24, rows at 28, cols at 32
+def _set_u32(offset, value):
+    def edit(data):
+        data[offset : offset + 4] = value.to_bytes(4, "little")
+        return data
+
+    return edit
+
+
+def test_load_blocks_rejects_trailing_bytes(tmp_path):
+    with pytest.raises(ValueError, match="trailing bytes"):
+        _corrupt_export(tmp_path, lambda data: data + bytes(8))
+
+
+def test_load_blocks_rejects_truncated_file(tmp_path):
+    with pytest.raises(ValueError, match="truncated"):
+        _corrupt_export(tmp_path, lambda data: data[:-1])
+
+
+def test_load_blocks_rejects_degree_or_count_outside_spec(tmp_path):
+    with pytest.raises(ValueError, match="degree pair"):
+        _corrupt_export(tmp_path, _set_u32(20, 858993459))
+    with pytest.raises(ValueError, match="block count"):
+        _corrupt_export(tmp_path, _set_u32(16, 17))
+
+
+def test_load_blocks_rejects_block_shape(tmp_path):
+    with pytest.raises(ValueError, match="shape"):
+        _corrupt_export(tmp_path, _set_u32(28, 2))

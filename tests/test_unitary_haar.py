@@ -1,16 +1,22 @@
 """Haar sampling, Livšic projections, virtual unitaries, moment statistics."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
+from focklab import unitary_haar as uh
 from focklab.unitary_haar import (
     MOMENT_NAMES,
+    MomentEstimate,
     chunk_plan,
     embed_stabilized,
     exact_moment,
     haar_batch,
     haar_moment_report,
     haar_sample,
+    invariance_report,
     livsic_project,
     livsic_project_batch,
     pushforward_consistency,
@@ -138,3 +144,59 @@ def test_chunk_plan_partition():
     plan = chunk_plan(20001, 8192)
     assert [count for _, count in plan] == [8192, 8192, 3617]
     assert [index for index, _ in plan] == [0, 1, 2]
+
+
+def _moment_bits(result) -> bytes:
+    estimates, diagnostics = result
+    values = [v for e in estimates.values() for v in (e.mean, e.stderr)]
+    values += [diagnostics["branch_events"], diagnostics["worst_defect"]]
+    return np.asarray(values, dtype="<f8").tobytes()
+
+
+def test_invariance_report_independent_of_workers(fresh_pool):
+    one = invariance_report(3, 20000, seed=21, workers=1)
+    two = invariance_report(3, 20000, seed=21, workers=2)
+    assert json.dumps(one) == json.dumps(two)
+
+
+def test_pool_rebuilt_after_worker_dies(fresh_pool):
+    serial = sample_moments(2, 20000, seed=22, transform="project", workers=1)
+    sample_moments(2, 20000, seed=22, transform="project", workers=2)
+    pool = uh._POOL[0]
+    victim = next(iter(pool._processes.values()))
+    victim.terminate()
+    victim.join()
+    pooled = sample_moments(2, 20000, seed=22, transform="project", workers=2)
+    assert uh._POOL[0] is not pool
+    assert _moment_bits(pooled) == _moment_bits(serial)
+
+
+def test_pool_rebuilt_for_new_worker_count_and_process(fresh_pool):
+    pool = uh._pool(2)
+    assert uh._pool(2) is pool
+    resized = uh._pool(3)
+    assert resized is not pool
+    # a pool inherited from another process is replaced, never shut down here
+    uh._POOL = (resized, 3, -1)
+    assert uh._pool(3) is not resized
+    assert resized.submit(abs, -3).result() == 3
+    resized.shutdown()
+
+
+def test_stable_merge_keeps_variance_under_large_mean():
+    values = 1e8 + np.random.default_rng(23).standard_normal(20000)
+    chunks = [{"x": uh._chunk_stats(values[i : i + 8192])} for i in range(0, 20000, 8192)]
+    count, mean, m2 = uh._merge_stats(chunks)["x"]
+    assert count == 20000
+    assert mean == pytest.approx(values.mean(), rel=1e-15)
+    assert m2 / count == pytest.approx(np.var(values - 1e8), rel=1e-6)
+
+
+def test_z_score_rule():
+    assert uh._z_score(1.0, 2.0, 0.5) == -2.0
+    assert uh._z_score(1 + 4j, 1.0, 2.0) == 2.0
+    assert uh._z_score(0.5, 0.5 + 1e-13, 0.0) == 0.0
+    assert uh._z_score(0.5, 0.5 + 1e-13, 1e-18) == 0.0
+    assert uh._z_score(0.5, 0.5 + 1e-9, 0.0) == -math.inf
+    assert uh._z_score(1j, 0.0, 0.0) == math.inf
+    assert MomentEstimate("re_u11", 0.25, 0.0, 100).z_against(0.0) == math.inf
