@@ -166,16 +166,9 @@ def weyl_group_commutation(
     dropped beyond the cap cannot contaminate the compared degrees; the
     residual is measured on the original workspace in the weighted norm.
     """
-    spec = f.spec
-    wide = TruncationSpec(spec.max_degree + margin, spec.dim)
-    c = pc.lift(f.coefficients(), spec, wide)
-    lhs, _ = pc.apply_exp_mult(c, b, wide)
-    lhs = pc.apply_shift(lhs, a, wide)
-    rhs = pc.apply_shift(c, a, wide)
-    rhs, _ = pc.apply_exp_mult(rhs, b, wide)
-    rhs = rhs * np.exp(complex(a.inner(b)))
-    diff = pc.restrict(lhs - rhs, wide, spec)
-    return pc.w_norm_of_c(diff, f.pairing, spec)
+    lhs = [("mult", b), ("shift", a)]
+    rhs = [("shift", a), ("mult", b), ("scale", np.exp(complex(a.inner(b))))]
+    return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
 def finite_difference_derivative(

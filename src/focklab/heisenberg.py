@@ -143,58 +143,30 @@ def aux_mul(
 
 # -- operators on the entire-function side --------------------------------------
 
-def _wide_pipeline(
-    f: HardyWFunction, steps, margin: int, scale: complex = 1.0
-) -> HardyWFunction:
-    """Run shift/mult steps inside an enlarged workspace, then restrict.
+class _Flow:
+    """Operator given by ``steps()``, the (kind, vector) flow steps of
+    ``polycalc`` it applies to monomial coefficients.  Composing operators
+    concatenates their steps, so compositions stay on one dense array."""
 
-    ``scale`` multiplies the resulting function (its monomial coefficients,
-    not the underlying Fock vector, which would conjugate the factor).
-    """
-    spec = f.spec
-    wide = TruncationSpec(spec.max_degree + margin, spec.dim) if margin else spec
-    c = pc.lift(f.coefficients(), spec, wide) if margin else f.coefficients()
-    overflow = f.overflow
-    for kind, vec in steps:
-        if kind == "shift":
-            c = pc.apply_shift(c, vec, wide)
-        elif kind == "mult":
-            c, over = pc.apply_exp_mult(c, vec, wide)
-            overflow = overflow or over
-        else:
-            raise ValueError(kind)
-    c = c * complex(scale)
-    if margin:
-        c = pc.restrict(c, wide, spec)
-    return HardyWFunction.from_coefficients(c, spec, f.pairing, overflow)
+    def apply(self, f: HardyWFunction) -> HardyWFunction:
+        c, over = pc._wide_flow(f.coefficients(), f.spec, self.margin, self.steps())
+        return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow or over)
 
 
 @dataclass(frozen=True)
-class WeylOperator:
+class WeylOperator(_Flow):
     """exp(<a|b>/2) times (multiply by exp<x|a>) after (shift by b)."""
 
     p: QuaternionVector
     margin: int = 0
 
-    def apply(self, f: HardyWFunction) -> HardyWFunction:
+    def steps(self) -> list:
         a, b = self.p.a, self.p.b
-        scale = np.exp(0.5 * complex(a.inner(b)))
-        return _wide_pipeline(f, [("shift", b), ("mult", a)], self.margin, scale)
+        return [("shift", b), ("mult", a), ("scale", np.exp(0.5 * complex(a.inner(b))))]
 
 
 def weyl(p: QuaternionVector, margin: int = 0) -> WeylOperator:
     return WeylOperator(p, margin)
-
-
-def _widen(f: HardyWFunction, margin: int) -> HardyWFunction:
-    wide = TruncationSpec(f.spec.max_degree + margin, f.spec.dim)
-    c = pc.lift(f.coefficients(), f.spec, wide)
-    return HardyWFunction.from_coefficients(c, wide, f.pairing, f.overflow)
-
-
-def _narrow_residual(f: HardyWFunction, g: HardyWFunction, spec: TruncationSpec) -> float:
-    diff = pc.restrict(f.coefficients() - g.coefficients(), f.spec, spec)
-    return pc.w_norm_of_c(diff, f.pairing, spec)
 
 
 def weyl_relation_residual(
@@ -208,30 +180,34 @@ def weyl_relation_residual(
     vectors pick up a genuine conjugation factor, so suites draw real
     parameters by default and only record the complex behaviour.
     """
-    wide_f = _widen(f, margin)
-    lhs = weyl(p + q).apply(wide_f)
-    rhs = weyl(p).apply(weyl(q).apply(wide_f))
-    scale = np.exp(-0.5 * eh_im(p, q))
-    rhs = HardyWFunction.from_coefficients(
-        scale * rhs.coefficients(), rhs.spec, rhs.pairing, rhs.overflow
-    )
-    return _narrow_residual(lhs, rhs, f.spec)
+    rhs = weyl(q).steps() + weyl(p).steps() + [("scale", np.exp(-0.5 * eh_im(p, q)))]
+    lhs = weyl(p + q).steps()
+    return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
 @dataclass(frozen=True)
-class WSOperator:
+class WSOperator(_Flow):
     """Weyl–Schrödinger operator exp(t) (multiply exp<x|b>) after (shift by a)."""
 
     x: HeisenbergElement
     margin: int = 0
 
-    def apply(self, f: HardyWFunction) -> HardyWFunction:
-        return _wide_pipeline(
-            f,
-            [("shift", self.x.a), ("mult", self.x.b)],
-            self.margin,
-            np.exp(complex(self.x.t)),
-        )
+    def steps(self) -> list:
+        x = self.x
+        return [("shift", x.a), ("mult", x.b), ("scale", np.exp(complex(x.t)))]
+
+
+@dataclass(frozen=True)
+class DisplayedOperator(_Flow):
+    """Dressed variant exp(t + <a|b>/2) (multiply exp<x|a>) after (shift by b)."""
+
+    x: HeisenbergElement
+    margin: int = 0
+
+    def steps(self) -> list:
+        x = self.x
+        scale = np.exp(complex(x.t) + 0.5 * complex(x.a.inner(x.b)))
+        return [("shift", x.b), ("mult", x.a), ("scale", scale)]
 
 
 @dataclass(frozen=True)
@@ -260,26 +236,14 @@ def ws_rep(x: HeisenbergElement, model: str = "w", margin: int = 0):
     raise ValueError(f"unknown model {model!r}")
 
 
-def ws_rep_displayed(x: HeisenbergElement, margin: int = 0):
+def ws_rep_displayed(x: HeisenbergElement, margin: int = 0) -> DisplayedOperator:
     """Dressed variant exp(t + <a|b>/2) M_a T_b, kept for the record.
 
     Not a representation of this group law: composing two of these against
     the composed element leaves a factor that no choice of real parameters
     removes.  Suites report its residual without a pass contract.
     """
-
-    @dataclass(frozen=True)
-    class _Displayed:
-        x: HeisenbergElement
-        margin: int
-
-        def apply(self, f: HardyWFunction) -> HardyWFunction:
-            scale = np.exp(complex(self.x.t) + 0.5 * complex(self.x.a.inner(self.x.b)))
-            return _wide_pipeline(
-                f, [("shift", self.x.b), ("mult", self.x.a)], self.margin, scale
-            )
-
-    return _Displayed(x, margin)
+    return DisplayedOperator(x, margin)
 
 
 def ws_homomorphism_residual(
@@ -291,13 +255,13 @@ def ws_homomorphism_residual(
 ) -> float:
     """Residual of W(xy) f = W(x) W(y) f, measured on the original workspace.
 
-    ``form`` is a callable (element, margin) -> operator; the default is the
-    working representation, ``ws_rep_displayed`` gives the dressed variant.
+    ``form`` is a callable (element, margin) -> operator with ``steps()``; the
+    default is the working representation, ``ws_rep_displayed`` gives the
+    dressed variant.
     """
-    wide_f = _widen(f, margin)
-    lhs = form(heis_mul(x, y), 0).apply(wide_f)
-    rhs = form(x, 0).apply(form(y, 0).apply(wide_f))
-    return _narrow_residual(lhs, rhs, f.spec)
+    rhs = form(y, 0).steps() + form(x, 0).steps()
+    lhs = form(heis_mul(x, y), 0).steps()
+    return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
 def ws_chi_agreement(

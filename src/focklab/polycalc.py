@@ -17,12 +17,13 @@ up to roundoff inside the truncation.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .fock_core import EVector, FockVector, TruncationSpec
-from .partitions import BasisKey, constant_c, enumerate_keys
+from .partitions import BasisKey, constant_c, enumerate_keys, w_norm_sq
 
 TAYLOR = "taylor"
 PAIRING_W = "w"
@@ -31,53 +32,62 @@ PAIRINGS = (PAIRING_W, PAIRING_H, TAYLOR)
 
 
 class CoeffTable:
-    """Cached index tables for one truncation workspace."""
+    """Cached index tables for one truncation workspace.
+
+    The flow tables come from exponent vectors alone.  The keys and the
+    readout weights need one ``BasisKey`` per row and are built on first use,
+    so the deep workspaces that only run flows stay small.
+    """
 
     def __init__(self, spec: TruncationSpec):
         self.spec = spec
-        self.keys = enumerate_keys(spec.max_degree, spec.dim)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        size = len(self.keys)
         d = spec.dim
-        self.exponents = np.zeros((size, d), dtype=np.int64)
-        for i, key in enumerate(self.keys):
-            self.exponents[i] = key.exponents(d)
+        size = math.comb(spec.max_degree + d, d)
+        # the order of enumerate_keys: by degree, then by index multiset
+        counts = (combo.count(k) for n in range(spec.max_degree + 1)
+                  for combo in combinations_with_replacement(range(d), n) for k in range(d))
+        self.exponents = np.fromiter(counts, np.int64, size * d).reshape(size, d)
         self.degree = self.exponents.sum(axis=1)
-        # neighbour tables: index of key +/- e_k, or -1 when outside
-        self.up = np.full((size, d), -1, dtype=np.int64)
-        self.down = np.full((size, d), -1, dtype=np.int64)
-        for i, key in enumerate(self.keys):
-            exps = self.exponents[i]
-            for k in range(d):
-                if self.degree[i] < spec.max_degree:
-                    bumped = exps.copy()
-                    bumped[k] += 1
-                    self.up[i, k] = self.index[BasisKey.from_exponents(bumped)]
-                if exps[k] > 0:
-                    lowered = exps.copy()
-                    lowered[k] -= 1
-                    self.down[i, k] = self.index[BasisKey.from_exponents(lowered)]
-        factorials = np.array(
-            [math.factorial(int(n)) for n in self.degree], dtype=float
-        )
+        # neighbour tables: row of key +/- e_k, or ``size`` (the row of an
+        # appended zero) when outside, so that the kernels are plain gathers.
+        # Rows are looked up as opaque byte strings, sorted once.
+        def as_bytes(rows):
+            return np.ascontiguousarray(rows).view(f"V{8 * d}").ravel()
+
+        order = np.argsort(as_bytes(self.exponents))
+        known = as_bytes(self.exponents)[order]
+        self.up, self.down = np.empty((2, size, d), dtype=np.intp)
+        for k in range(d):
+            for neighbour, sign in ((self.up, 1), (self.down, -1)):
+                wanted = as_bytes(self.exponents + sign * np.eye(d, dtype=np.int64)[k])
+                at = np.minimum(np.searchsorted(known, wanted), size - 1)
+                neighbour[:, k] = np.where(known[at] == wanted, order[at], size)
+        self.top = np.flatnonzero(self.degree == spec.max_degree)
+
+    def size(self) -> int:
+        return len(self.degree)
+
+    @cached_property
+    def keys(self) -> tuple[BasisKey, ...]:
+        return enumerate_keys(self.spec.max_degree, self.spec.dim)
+
+    @cached_property
+    def index(self) -> dict:
+        return {k: i for i, k in enumerate(self.keys)}
+
+    @cached_property
+    def dress(self) -> dict:
+        factorials = np.array([math.factorial(int(n)) for n in self.degree], dtype=float)
         cvals = np.array([float(constant_c(k.diagram)) for k in self.keys])
-        self.dress = {
-            TAYLOR: np.ones(size),
+        return {
+            TAYLOR: np.ones(self.size()),
             PAIRING_H: 1.0 / factorials,
             PAIRING_W: cvals / factorials,
         }
-        self.gram_w = np.array(
-            [float(_w_norm(k)) for k in self.keys], dtype=float
-        )
 
-    def size(self) -> int:
-        return len(self.keys)
-
-
-def _w_norm(key: BasisKey):
-    from .partitions import w_norm_sq
-
-    return w_norm_sq(key.diagram)
+    @cached_property
+    def gram_w(self) -> np.ndarray:
+        return np.array([float(w_norm_sq(k.diagram)) for k in self.keys], dtype=float)
 
 
 @lru_cache(maxsize=64)
@@ -112,43 +122,48 @@ def w_norm_of_c(c: np.ndarray, pairing: str, spec: TruncationSpec) -> float:
 
 
 # -- generators --------------------------------------------------------------
+#
+# The kernels take coefficients of shape (size,) or (size, n) and a direction
+# that is an EVector or a (dim, n) array, one direction per column.
 
-def apply_mult_linear(c: np.ndarray, a: EVector, spec: TruncationSpec):
-    """Multiply by the linear form <x|a>; returns (result, overflowed)."""
+
+def _direction(a) -> np.ndarray:
+    return np.asarray(a.coords if isinstance(a, EVector) else a, dtype=complex)
+
+
+def _gather(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power=None):
+    """Sum over k of weights[k] (times power[:, k]) times c at neighbour[:, k]."""
+    flat = c.reshape(len(c), -1)
+    padded = np.concatenate([flat, np.zeros_like(flat[:1])])
+    columns = weights.reshape(len(weights), -1)
+    out = np.zeros((len(c), max(flat.shape[1], columns.shape[1])), dtype=complex)
+    for k in np.flatnonzero(columns.any(axis=1)):
+        factor = columns[k] if power is None else columns[k] * power[:, k : k + 1]
+        out += factor * np.take(padded, neighbour[:, k], axis=0)
+    return out[:, 0] if c.ndim == weights.ndim == 1 else out
+
+
+def apply_mult_linear(c: np.ndarray, a, spec: TruncationSpec):
+    """Multiply by the linear form <x|a>; returns (result, overflowed).
+
+    ``overflowed`` says that some column has mass at the top degree and a
+    nonzero direction, so part of its product falls outside the workspace.
+    """
     tab = table(spec)
-    out = np.zeros_like(c)
-    overflow = False
-    nz = np.flatnonzero(c)
-    for k in range(spec.dim):
-        weight = complex(a.coords[k]).conjugate()
-        if weight == 0:
-            continue
-        targets = tab.up[nz, k]
-        ok = targets >= 0
-        np.add.at(out, targets[ok], weight * c[nz[ok]])
-        if np.any(~ok):
-            overflow = True
-    return out, overflow
+    weights = _direction(a).conj()
+    live = weights.reshape(len(weights), -1).any(axis=0)
+    overflow = bool((c.reshape(len(c), -1)[tab.top].any(axis=0) & live).any())
+    return _gather(c, weights, tab.down), overflow
 
 
-def apply_derivative(c: np.ndarray, a: EVector, spec: TruncationSpec) -> np.ndarray:
+def apply_derivative(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Directional derivative along a of the polynomial with coefficients c."""
     tab = table(spec)
-    out = np.zeros_like(c)
-    nz = np.flatnonzero(c)
-    for k in range(spec.dim):
-        weight = complex(a.coords[k])
-        if weight == 0:
-            continue
-        sources = nz[tab.exponents[nz, k] > 0]
-        if sources.size == 0:
-            continue
-        targets = tab.down[sources, k]
-        np.add.at(out, targets, weight * tab.exponents[sources, k] * c[sources])
-    return out
+    # the source key x^(e + e_k) of key e carries the exponent e_k + 1
+    return _gather(c, _direction(a), tab.up, tab.exponents + 1)
 
 
-def apply_shift(c: np.ndarray, a: EVector, spec: TruncationSpec) -> np.ndarray:
+def apply_shift(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Substitute x -> x + a; exact because the derivative flow is nilpotent."""
     out = c.copy()
     term = c
@@ -160,7 +175,7 @@ def apply_shift(c: np.ndarray, a: EVector, spec: TruncationSpec) -> np.ndarray:
     return out
 
 
-def apply_exp_mult(c: np.ndarray, a: EVector, spec: TruncationSpec):
+def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec):
     """Multiply by exp(<x|a>), truncated at the cap; returns (result, overflowed)."""
     out = c.copy()
     term = c
@@ -181,28 +196,19 @@ def apply_exp_mult(c: np.ndarray, a: EVector, spec: TruncationSpec):
 
 def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:
     """Value of the polynomial with monomial coefficients c at the point x."""
-    tab = table(spec)
-    coords = np.array([complex(v) for v in x.coords])
-    nz = np.flatnonzero(c)
-    total = 0.0 + 0.0j
-    for i in nz:
-        mono = 1.0 + 0.0j
-        for k in range(spec.dim):
-            e = tab.exponents[i, k]
-            if e:
-                mono *= coords[k] ** int(e)
-        total += c[i] * mono
-    return complex(total)
+    monomials = np.prod(np.asarray(x.coords, dtype=complex) ** table(spec).exponents, axis=1)
+    return complex(c @ monomials)
 
+
+# Every workspace lists its keys by degree first, so the keys of a workspace
+# are the first rows of any deeper one of the same dimension.
 
 def lift(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndarray:
     """Re-index coefficients into a larger workspace of the same dimension."""
     if src.dim != dst.dim or dst.max_degree < src.max_degree:
         raise ValueError("target workspace must extend the source")
-    t_src, t_dst = table(src), table(dst)
-    out = np.zeros(t_dst.size(), dtype=complex)
-    for i in np.flatnonzero(c):
-        out[t_dst.index[t_src.keys[i]]] = c[i]
+    out = np.zeros((table(dst).size(),) + c.shape[1:], dtype=complex)
+    out[: len(c)] = c
     return out
 
 
@@ -210,11 +216,48 @@ def restrict(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndar
     """Project coefficients onto a smaller workspace of the same dimension."""
     if src.dim != dst.dim or dst.max_degree > src.max_degree:
         raise ValueError("target workspace must be contained in the source")
-    t_src, t_dst = table(src), table(dst)
-    out = np.zeros(t_dst.size(), dtype=complex)
-    for i in np.flatnonzero(c):
-        key = t_src.keys[i]
-        j = t_dst.index.get(key)
-        if j is not None:
-            out[j] = c[i]
-    return out
+    return c[: table(dst).size()].astype(complex)
+
+
+def _wide_flow(c, spec: TruncationSpec, margin: int, steps):
+    """Run (kind, vector) steps on c in a workspace ``margin`` degrees deeper.
+
+    Kinds: "shift" (x -> x + v), "mult" (times exp<x|v>), "scale" (times the
+    number v, on the coefficients: on the Fock vector it would be conjugated).
+    A shift after a multiplication brings the tail that the
+    multiplication dropped at the cap down to spec, so such steps run again
+    two degrees shallower; if the two runs differ on spec by more than 1e-12
+    relative, the steps run once more with twice the margin.  Returns
+    (coefficients on spec, overflowed).
+    """
+    depth = spec.max_degree + margin
+    out, overflow = _flow_at(c, spec, depth, steps)
+    kinds = [kind for kind, _ in steps]
+    if margin and "mult" in kinds and "shift" in kinds[kinds.index("mult") :]:
+        probe, _ = _flow_at(c, spec, depth - 2, steps)
+        if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
+            out, overflow = _flow_at(c, spec, depth + margin, steps)
+    return out, overflow
+
+
+def _wide_residual(c, spec: TruncationSpec, margin: int, lhs, rhs, pairing: str) -> float:
+    """Weighted norm of the difference of two step lists applied to c."""
+    left, _ = _wide_flow(c, spec, margin, lhs)
+    right, _ = _wide_flow(c, spec, margin, rhs)
+    return w_norm_of_c(left - right, pairing, spec)
+
+
+def _flow_at(c, spec: TruncationSpec, depth: int, steps):
+    wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
+    c, overflow = lift(c, spec, wide), False
+    for kind, vec in steps:
+        if kind == "mult":
+            c, over = apply_exp_mult(c, vec, wide)
+            overflow = overflow or over
+        elif kind == "shift":
+            c = apply_shift(c, vec, wide)
+        elif kind == "scale":
+            c = c * complex(vec)
+        else:
+            raise ValueError(f"unknown flow step {kind!r}")
+    return restrict(c, wide, spec), overflow

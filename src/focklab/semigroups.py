@@ -15,14 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import polycalc as pc
 from .fock_core import EVector
 from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse
 from .hardy_w import (
     HardyWFunction,
     directional_derivative,
     generator_mult,
-    multiply_exp,
-    shift,
 )
 
 GW_SHIFT = "shift"
@@ -61,6 +60,18 @@ def hermite_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _node_columns(f: HardyWFunction, a: EVector, r: float, nodes: int):
+    """The coefficients of f repeated once per Gauss-Hermite node, the
+    direction a * 2 sqrt(r) x_i of node i in column i, and the weights
+    w_i / sqrt(pi) that contract the columns back into one function."""
+    if r <= 0:
+        raise ValueError("time parameter must be positive")
+    x, w = hermite_rule(nodes)
+    c = np.repeat(f.coefficients()[:, None], nodes, axis=1)
+    directions = np.outer(np.asarray(a.coords, dtype=complex), 2.0 * math.sqrt(r) * x)
+    return c, directions, w / math.sqrt(math.pi)
+
+
 def gw_mult(
     f: HardyWFunction, a: EVector, r: float, nodes: int = DEFAULT_NODES
 ) -> HardyWFunction:
@@ -68,20 +79,13 @@ def gw_mult(
 
     Substituting tau = 2 sqrt(r) v turns the integrand into a polynomial in v
     times exp(-v^2), so the rule is exact once the node count covers the
-    degree; symmetric nodes kill the odd terms automatically.
+    degree; symmetric nodes kill the odd terms automatically.  All nodes
+    flow at once, one coefficient column each.
     """
-    if r <= 0:
-        raise ValueError("time parameter must be positive")
-    x, w = hermite_rule(nodes)
-    scale = 2.0 * math.sqrt(r)
-    total = None
-    overflow = False
-    for xi, wi in zip(x, w):
-        term = multiply_exp(f, a.scale(scale * xi))
-        overflow = overflow or term.overflow
-        weighted = term.fock.scale(wi / math.sqrt(math.pi))
-        total = weighted if total is None else total + weighted
-    return HardyWFunction(total, f.pairing, overflow)
+    c, directions, weights = _node_columns(f, a, r, nodes)
+    out, overflow = pc.apply_exp_mult(c, directions, f.spec)
+    overflow = f.overflow or overflow
+    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing, overflow)
 
 
 def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
@@ -123,15 +127,9 @@ def gw_shift_quadrature(
     f: HardyWFunction, a: EVector, r: float, nodes: int = DEFAULT_NODES
 ) -> HardyWFunction:
     """Quadrature route for the shift semigroup (cross-check of ``gw_shift``)."""
-    if r <= 0:
-        raise ValueError("time parameter must be positive")
-    x, w = hermite_rule(nodes)
-    scale = 2.0 * math.sqrt(r)
-    total = None
-    for xi, wi in zip(x, w):
-        term = shift(f, a.scale(scale * xi)).fock.scale(wi / math.sqrt(math.pi))
-        total = term if total is None else total + term
-    return HardyWFunction(total, f.pairing, f.overflow)
+    c, directions, weights = _node_columns(f, a, r, nodes)
+    out = pc.apply_shift(c, directions, f.spec)
+    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing, f.overflow)
 
 
 def gw_chi(

@@ -1,5 +1,6 @@
 """Command line surface: suites, reports, determinism plumbing, file formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from focklab import cli
+from focklab import unitary_haar as uh
 from focklab.fock_core import FockVector, TruncationSpec
 from focklab.hardy_chi import HardyChiFunction
 from focklab.hardy_w import HardyWFunction
@@ -166,3 +168,18 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "diagram" in proc.stdout
+
+
+def test_haar_and_ftransform_share_one_pool(fresh_pool, monkeypatch):
+    sizes = []
+
+    class CountingPool(uh.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sizes.append(kwargs["max_workers"])
+
+    monkeypatch.setattr(uh, "ProcessPoolExecutor", CountingPool)
+    cfg = dataclasses.replace(cli.RunConfig(), samples=8000, workers=3)
+    cli.run_suite("haar", cfg)
+    cli.run_suite("ftransform", cfg)
+    assert sizes == [3]

@@ -176,6 +176,15 @@ def test_weyl_relation_real_parameters():
         assert weyl_relation_residual(p, q, f, margin=16) < 1e-8
 
 
+def test_weyl_relation_deepens_past_dropped_tails():
+    # a shift after a multiplication brings the tail dropped at degree 22 down
+    # to the compared degrees: 1.7e-7 at a fixed depth for these parameters
+    f = random_polynomial(SPEC, np.random.default_rng(74), 4, scale=0.7)
+    p = QuaternionVector(EVector((-0.11, 0.15, 0.42)), EVector((0.21, 0.27, 1.33)))
+    q = QuaternionVector(EVector((-0.48, 0.04, -1.36)), EVector((0.8, 0.81, 0.35)))
+    assert weyl_relation_residual(p, q, f, margin=16) < 1e-12
+
+
 def test_ws_rep_homomorphism_complex_parameters():
     rng = np.random.default_rng(8)
     f = random_polynomial(SPEC, rng, 3, scale=0.7)

@@ -1,0 +1,181 @@
+"""Gather kernels of the coefficient calculus against the scatter loops they replaced."""
+
+import numpy as np
+import pytest
+
+from focklab import polycalc as pc
+from focklab.fock_core import EVector, TruncationSpec
+from focklab.partitions import BasisKey
+
+SPECS = (TruncationSpec(6, 3), TruncationSpec(10, 4))
+
+
+# -- reference: per-coordinate scatter loops ----------------------------------
+
+def _neighbours(spec):
+    """Index of key +/- e_k, or -1 outside, built from the key enumeration alone."""
+    tab = pc.table(spec)
+    size, d = tab.size(), spec.dim
+    up = np.full((size, d), -1, dtype=np.int64)
+    down = np.full((size, d), -1, dtype=np.int64)
+    for i, key in enumerate(tab.keys):
+        exps = np.array(key.exponents(d))
+        for k in range(d):
+            if exps.sum() < spec.max_degree:
+                bumped = exps.copy()
+                bumped[k] += 1
+                up[i, k] = tab.index[BasisKey.from_exponents(bumped)]
+            if exps[k] > 0:
+                lowered = exps.copy()
+                lowered[k] -= 1
+                down[i, k] = tab.index[BasisKey.from_exponents(lowered)]
+    return up, down
+
+
+def reference_mult_linear(c, a, spec):
+    up, _ = _neighbours(spec)
+    out = np.zeros_like(c)
+    overflow = False
+    nz = np.flatnonzero(c)
+    for k in range(spec.dim):
+        weight = complex(a.coords[k]).conjugate()
+        if weight == 0:
+            continue
+        targets = up[nz, k]
+        ok = targets >= 0
+        np.add.at(out, targets[ok], weight * c[nz[ok]])
+        if np.any(~ok):
+            overflow = True
+    return out, overflow
+
+
+def reference_derivative(c, a, spec):
+    _, down = _neighbours(spec)
+    exponents = pc.table(spec).exponents
+    out = np.zeros_like(c)
+    nz = np.flatnonzero(c)
+    for k in range(spec.dim):
+        weight = complex(a.coords[k])
+        if weight == 0:
+            continue
+        sources = nz[exponents[nz, k] > 0]
+        if sources.size == 0:
+            continue
+        np.add.at(out, down[sources, k], weight * exponents[sources, k] * c[sources])
+    return out
+
+
+# -- inputs -------------------------------------------------------------------
+
+def _coefficients(spec, rng, columns=None, density=1.0):
+    shape = (pc.table(spec).size(),) + (() if columns is None else (columns,))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return c * (rng.random(shape) < density)
+
+
+def _direction(spec, rng):
+    return EVector(tuple(rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)))
+
+
+def _close(got, want, c):
+    return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(c)
+
+
+# -- tests --------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("density", [1.0, 0.1])
+def test_gather_kernels_match_scatter_loops(spec, density):
+    rng = np.random.default_rng(spec.max_degree + int(10 * density))
+    for _ in range(3):
+        c = _coefficients(spec, rng, density=density)
+        a = _direction(spec, rng)
+        got, over = pc.apply_mult_linear(c, a, spec)
+        want, want_over = reference_mult_linear(c, a, spec)
+        assert got.shape == c.shape
+        assert _close(got, want, c) and over == want_over
+        got = pc.apply_derivative(c, a, spec)
+        assert got.shape == c.shape
+        assert _close(got, reference_derivative(c, a, spec), c)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("density", [1.0, 0.1])
+def test_column_kernels_match_scatter_loops_per_column(spec, density):
+    rng = np.random.default_rng(3 * spec.max_degree + int(10 * density))
+    columns = 5
+    c = _coefficients(spec, rng, columns, density)
+    directions = np.column_stack([_direction(spec, rng).coords for _ in range(columns)])
+    got, over = pc.apply_mult_linear(c, directions, spec)
+    overflow = False
+    for j in range(columns):
+        want, want_over = reference_mult_linear(c[:, j], EVector(directions[:, j]), spec)
+        assert _close(got[:, j], want, c[:, j])
+        overflow = overflow or want_over
+    assert over == overflow
+    got = pc.apply_derivative(c, directions, spec)
+    for j in range(columns):
+        want = reference_derivative(c[:, j], EVector(directions[:, j]), spec)
+        assert _close(got[:, j], want, c[:, j])
+    # one direction for every column
+    a = EVector(directions[:, 0])
+    got, _ = pc.apply_mult_linear(c, a, spec)
+    assert _close(got[:, 2], reference_mult_linear(c[:, 2], a, spec)[0], c[:, 2])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_flows_run_each_column_on_its_own(spec):
+    rng = np.random.default_rng(7)
+    c = _coefficients(spec, rng, 3, 0.3)
+    directions = 0.5 * np.column_stack([_direction(spec, rng).coords for _ in range(3)])
+    directions[:, 1] = 0.0
+    mult, over = pc.apply_exp_mult(c, directions, spec)
+    shifted = pc.apply_shift(c, directions, spec)
+    for j in range(3):
+        a = EVector(directions[:, j])
+        want, want_over = pc.apply_exp_mult(c[:, j], a, spec)
+        assert np.array_equal(mult[:, j], want)
+        assert np.array_equal(shifted[:, j], pc.apply_shift(c[:, j], a, spec))
+    assert over
+
+
+def test_overflow_flag_matches_scatter_loops():
+    spec = SPECS[0]
+    tab = pc.table(spec)
+    rng = np.random.default_rng(11)
+    top = tab.degree == spec.max_degree
+    full = _coefficients(spec, rng)
+    below = full * ~top
+    a = _direction(spec, rng)
+    zero = EVector.zero(spec.dim)
+    for c, direction, expected in ((full, a, True), (full, zero, False), (below, a, False)):
+        assert pc.apply_mult_linear(c, direction, spec)[1] is expected
+        assert reference_mult_linear(c, direction, spec)[1] is expected
+    # column 0 has top-degree mass but no direction, column 1 a direction but
+    # no top-degree mass: no column overflows
+    c = np.column_stack([full, below])
+    directions = np.column_stack([zero.coords, a.coords])
+    assert pc.apply_mult_linear(c, directions, spec)[1] is False
+    directions[:, 0] = a.coords
+    assert pc.apply_mult_linear(c, directions, spec)[1] is True
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_lift_then_restrict_is_identity(spec):
+    rng = np.random.default_rng(13)
+    wide = TruncationSpec(spec.max_degree + 5, spec.dim)
+    for c in (_coefficients(spec, rng), _coefficients(spec, rng, 4, 0.2)):
+        lifted = pc.lift(c, spec, wide)
+        assert lifted.shape == (pc.table(wide).size(),) + c.shape[1:]
+        assert np.linalg.norm(lifted) == np.linalg.norm(c)
+        assert np.array_equal(pc.restrict(lifted, wide, spec), c)
+        assert np.array_equal(pc.restrict(c, spec, spec), c)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_flow_tables_follow_the_key_order(spec):
+    tab = pc.table(spec)
+    assert tab.exponents.tolist() == [list(key.exponents(spec.dim)) for key in tab.keys]
+    # lift and restrict rely on the keys of a workspace leading a deeper one
+    wide = pc.table(TruncationSpec(spec.max_degree + 3, spec.dim))
+    assert wide.keys[: tab.size()] == tab.keys

@@ -10,9 +10,11 @@ from focklab.hardy_chi import f_transform_inverse
 from focklab.hardy_w import (
     HardyWFunction,
     directional_derivative,
+    multiply_exp,
     random_evector,
     random_polynomial,
     residual,
+    shift,
 )
 from focklab.partitions import BasisKey
 from focklab.semigroups import (
@@ -152,3 +154,29 @@ def test_transported_semigroups():
     assert (tiny - f).norm() < 1e-6
     with pytest.raises(ValueError):
         gw_chi(f, a, 0.5, "other")
+
+
+def _node_by_node(f, a, r, flow):
+    """Sum over the Gauss-Hermite nodes of flow(f, a 2 sqrt(r) x_i) w_i / sqrt(pi)."""
+    x, w = hermite_rule(64)
+    total = 0.0
+    overflow = False
+    for xi, wi in zip(x, w):
+        term = flow(f, a.scale(2.0 * math.sqrt(r) * xi))
+        overflow = overflow or term.overflow
+        total = total + term.coefficients() * (wi / math.sqrt(math.pi))
+    return total, overflow
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0])
+@pytest.mark.parametrize("degree", [2, 4])
+def test_batched_quadrature_equals_node_by_node(r, degree):
+    rng = np.random.default_rng(degree)
+    f = random_polynomial(SPEC, rng, degree)
+    for a in (random_evector(3, rng, 0.8), EVector.zero(3)):
+        for quadrature, flow in ((gw_mult, multiply_exp), (gw_shift_quadrature, shift)):
+            got = quadrature(f, a, r)
+            want, overflow = _node_by_node(f, a, r, flow)
+            gap = np.linalg.norm(got.coefficients() - want)
+            assert gap <= 1e-12 * np.linalg.norm(want)
+            assert got.overflow == overflow
