@@ -48,7 +48,6 @@ from .heisenberg import (
     g_iso,
     heis_inv,
     heis_mul,
-    quat_mul,
     weyl,
     ws_rep,
 )

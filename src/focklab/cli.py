@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -52,7 +53,6 @@ class RunConfig:
     seed: int = 20240801
     samples: int = 200000
     levels: tuple[int, ...] = (1, 2, 4, 8)
-    pairing: str = "w"
     variant: str = ops.W_ADJOINT
     margin: int = 16
     workers: int = 1
@@ -64,6 +64,10 @@ class RunConfig:
 
     def tol(self, name: str, default: float) -> float:
         return dict(self.tolerances).get(name, default)
+
+    def readout(self) -> str:
+        """The readout under which the annihilation variant intertwines."""
+        return fc.GRAM_W if self.variant == ops.W_ADJOINT else fc.GRAM_H
 
     def report_fields(self) -> dict:
         """Configuration as recorded in reports.
@@ -103,7 +107,7 @@ def load_config(path: str | None) -> RunConfig:
             updates[key] = int(value)
         elif key == "levels":
             updates[key] = tuple(int(v) for v in value.split(",") if v)
-        elif key in ("pairing", "variant", "out"):
+        elif key in ("variant", "out"):
             updates[key] = value
         elif key.startswith("tol."):
             tols = dict(updates.get("tolerances", cfg.tolerances))
@@ -129,14 +133,7 @@ class Case:
         return "pass" if self.residual <= self.tolerance else "fail"
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "status": self.status,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "contracted": self.contracted,
-        }
+        return {**asdict(self), "status": self.status}
 
 
 def _rng(cfg: RunConfig, tag: str) -> np.random.Generator:
@@ -981,11 +978,8 @@ def suite_ftransform(cfg: RunConfig):
 
     mult_worst = 0.0
     shift_worst = 0.0
-    pair_variant = {fc.GRAM_W: ops.W_ADJOINT, fc.GRAM_H: ops.MONOMIAL}
     variant = cfg.variant
-    pairing = cfg.pairing
-    if pair_variant.get(pairing) != variant:
-        pairing = fc.GRAM_W if variant == ops.W_ADJOINT else fc.GRAM_H
+    pairing = cfg.readout()
     for _ in range(50):
         a = hw.random_evector(spec.dim, rng, 0.8)
         fw = hw.random_polynomial(spec, rng, spec.max_degree)
@@ -1098,18 +1092,43 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
         "suite": name,
         "config": cfg.report_fields(),
         "config_hash": cfg.digest(),
-        "resolved": {"pairing": cfg.pairing, "variant": cfg.variant},
+        "resolved": {"pairing": cfg.readout(), "variant": cfg.variant},
         "cases": [case.as_dict() for case in cases],
         "studies": studies,
         "passed": all(case.status != "fail" for case in cases),
     }
 
 
+def write_json(payload: dict, out) -> None:
+    """Indented, key-sorted JSON to the path ``out``, or to stdout when it is empty."""
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text)
+
+
+def write_csv(header: list, rows, out) -> None:
+    """CSV rows under ``header`` to the path ``out``, or to stdout when it is empty."""
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report(report: dict, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['suite']}.json"
-    path.write_text(json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1))
+    write_json(report, path)
     return path
+
+
+NORM_STUDY_COLUMNS = ["level", "empirical", "stderr", "limit_value", "samples"]
+
+
+def _norm_study_row(row: dict) -> list:
+    return [row["level"], repr(row["empirical"]), repr(row["stderr"]),
+            repr(row["limit_value"]), row["samples"]]
 
 
 def write_norm_study_csv(report: dict, out_dir: Path) -> None:
@@ -1117,29 +1136,24 @@ def write_norm_study_csv(report: dict, out_dir: Path) -> None:
     for index, study in enumerate(report.get("studies", [])):
         if "rows" not in study:
             continue
-        path = out_dir / f"norm_study_{index}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["key", "level", "empirical", "stderr", "limit_value", "samples"])
-            for row in study["rows"]:
-                writer.writerow([
-                    study["id"].split(".")[-1], row["level"], repr(row["empirical"]),
-                    repr(row["stderr"]), repr(row["limit_value"]), row["samples"],
-                ])
+        key = study["id"].split(".")[-1]
+        write_csv(
+            ["key", *NORM_STUDY_COLUMNS],
+            ([key, *_norm_study_row(row)] for row in study["rows"]),
+            out_dir / f"norm_study_{index}.csv",
+        )
 
 
 def write_summary_csv(reports: list[dict], out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "summary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "case", "status", "residual", "tolerance"])
-        for report in reports:
-            for case in report["cases"]:
-                writer.writerow([
-                    report["suite"], case["id"], case["status"],
-                    repr(case["residual"]), repr(case["tolerance"]),
-                ])
+    write_csv(
+        ["suite", "case", "status", "residual", "tolerance"],
+        ([report["suite"], case["id"], case["status"],
+          repr(case["residual"]), repr(case["tolerance"])]
+         for report in reports for case in report["cases"]),
+        path,
+    )
     return path
 
 
@@ -1154,19 +1168,11 @@ def cmd_dump_weights(args) -> int:
             str(pt.h_norm_sq(diagram)), repr(float(pt.h_norm_sq(diagram))),
             str(pt.w_norm_sq(diagram)), repr(float(pt.w_norm_sq(diagram))),
         ])
-    out = Path(args.out) if args.out else None
-    handle = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "diagram", "constant", "constant_float",
-            "plain_norm_sq", "plain_norm_sq_float",
-            "weighted_norm_sq", "weighted_norm_sq_float",
-        ])
-        writer.writerows(rows)
-    finally:
-        if out:
-            handle.close()
+    write_csv([
+        "diagram", "constant", "constant_float",
+        "plain_norm_sq", "plain_norm_sq_float",
+        "weighted_norm_sq", "weighted_norm_sq_float",
+    ], rows, args.out)
     return 0
 
 
@@ -1180,13 +1186,11 @@ def function_from_payload(payload: dict) -> hw.HardyWFunction:
 
 
 def chi_to_payload(f: hc.HardyChiFunction) -> dict:
-    vec = fc.FockVector(f.spec, dict(f.coeffs))
-    return {"kind": "chi", "fock": json.loads(fc.to_json(vec))}
+    return {"kind": "chi", "fock": json.loads(f.to_json())}
 
 
 def chi_from_payload(payload: dict) -> hc.HardyChiFunction:
-    vec = fc.from_json(json.dumps(payload["fock"]))
-    return hc.HardyChiFunction(vec.spec, dict(vec.coeffs))
+    return hc.HardyChiFunction.from_json(json.dumps(payload["fock"]))
 
 
 def _parse_points(payload: dict, dim: int) -> list[fc.EVector]:
@@ -1207,11 +1211,7 @@ def cmd_eval(args) -> int:
         "pairing": f.pairing,
         "values": [[v.real, v.imag] for v in values],
     }
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    write_json(payload, args.out)
     return 0
 
 
@@ -1220,11 +1220,7 @@ def cmd_haar_test(args) -> int:
     report["pushforward"] = uh.pushforward_consistency(
         args.m, args.samples, args.seed, args.workers
     )
-    text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    write_json(report, args.out)
     ok = all(abs(m["z"]) <= 4 for m in report["moments"]) and all(
         abs(m["z"]) <= 4 for m in report["pushforward"]["moments"]
     )
@@ -1253,24 +1249,13 @@ def cmd_ftransform(args) -> int:
             row["levels"].append(entry)
         records.append(row)
     payload = {"samples": args.samples, "seed": args.seed, "records": records}
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    write_json(payload, args.out)
     if args.norm_study:
         key = pt.BasisKey.from_label(args.norm_study_key)
         rows = hc.norm_convergence_study(
             key, levels, args.samples, args.seed, workers=args.workers
         )
-        with open(args.norm_study, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "empirical", "stderr", "limit_value", "samples"])
-            for row in rows:
-                writer.writerow([
-                    row["level"], repr(row["empirical"]), repr(row["stderr"]),
-                    repr(row["limit_value"]), row["samples"],
-                ])
+        write_csv(NORM_STUDY_COLUMNS, map(_norm_study_row, rows), args.norm_study)
     return 0
 
 
@@ -1296,45 +1281,29 @@ def cmd_gw(args) -> int:
             "shift_expansion_vs_quadrature": hw.residual(shift_exact, shift_quad),
         })
     payload = {"nodes": args.nodes, "rows": rows}
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    write_json(payload, args.out)
     return 0
 
 
 def cmd_heisenberg(args) -> int:
     cfg = replace(load_config(args.config), seed=args.seed)
     report = run_suite("heisenberg", cfg)
-    text = json.dumps(report, sort_keys=True, ensure_ascii=False, indent=1)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    write_json(report, args.out)
     return 0 if report["passed"] else 1
 
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.samples is not None:
-        overrides["samples"] = args.samples
+    overrides = {
+        name: getattr(args, name)
+        for name in ("seed", "samples", "variant", "workers", "out")
+        if getattr(args, name) is not None
+    }
     if args.trunc is not None:
         n, d = (int(v) for v in args.trunc.split(","))
         overrides["max_degree"], overrides["dim"] = n, d
     if args.levels is not None:
         overrides["levels"] = tuple(int(v) for v in args.levels.split(","))
-    if args.variant is not None:
-        overrides["variant"] = args.variant
-    if args.pairing is not None:
-        overrides["pairing"] = args.pairing
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["out"] = args.out
     if args.tol:
         tols = dict(cfg.tolerances)
         for item in args.tol:
@@ -1423,7 +1392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", help="N,d")
     p.add_argument("--levels")
     p.add_argument("--variant", choices=ops.VARIANTS)
-    p.add_argument("--pairing", choices=(fc.GRAM_W, fc.GRAM_H))
     p.add_argument("--workers", type=int)
     p.add_argument("--tol", action="append", help="name=value tolerance override")
     p.add_argument("--out")

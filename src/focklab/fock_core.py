@@ -119,7 +119,11 @@ class EVector:
 
 @dataclass
 class FockVector:
-    """Sparse element of the truncated symmetric algebra."""
+    """Sparse element of the truncated symmetric algebra.
+
+    Subclasses tag the model a vector belongs to: arithmetic keeps the type
+    of its operands and refuses to mix two models.
+    """
 
     spec: TruncationSpec
     coeffs: dict = field(default_factory=dict)
@@ -149,7 +153,7 @@ class FockVector:
         return {k.degree() for k in self.coeffs}
 
     def degree_component(self, n: int) -> "FockVector":
-        return FockVector(
+        return type(self)(
             self.spec, {k: v for k, v in self.coeffs.items() if k.degree() == n}
         )
 
@@ -157,21 +161,20 @@ class FockVector:
         return len(self.degrees()) <= 1
 
     def __add__(self, other: "FockVector") -> "FockVector":
+        if type(other) is not type(self):
+            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return FockVector(self.spec, out)
+        return type(self)(self.spec, out)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, s) -> "FockVector":
-        return FockVector(self.spec, {k: s * v for k, v in self.coeffs.items()})
-
-    def conjugate(self) -> "FockVector":
-        return FockVector(self.spec, {k: _conj(v) for k, v in self.coeffs.items()})
+        return type(self)(self.spec, {k: s * v for k, v in self.coeffs.items()})
 
     def norm_sq(self, kind: str):
         return inner(kind, self, self)
@@ -182,6 +185,35 @@ class FockVector:
 
     def max_abs_coeff(self) -> float:
         return max((abs(v) for v in self.coeffs.values()), default=0.0)
+
+    def to_json(self) -> str:
+        """Serialize to JSON; rational coefficients round-trip bit exactly."""
+        payload = {
+            "spec": {"max_degree": self.spec.max_degree, "dim": self.spec.dim},
+            "coeffs": {k.label(): _encode_number(c) for k, c in sorted(
+                self.coeffs.items(), key=lambda item: item[0].label()
+            )},
+        }
+        return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+
+    @classmethod
+    def from_json(cls, text: str) -> "FockVector":
+        """Inverse of ``to_json``; a malformed payload raises one ``ValueError``."""
+        payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"vector payload must be a JSON object, got {payload!r}")
+        spec, coeffs = payload.get("spec"), payload.get("coeffs")
+        # JSON numbers decode to int or float; true and false to bool
+        if not (isinstance(spec, dict)
+                and {type(spec.get("max_degree")), type(spec.get("dim"))} == {int}):
+            raise ValueError(f"'spec' must hold integer 'max_degree' and 'dim', got {spec!r}")
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"'coeffs' must map key labels to [re, im] pairs, got {coeffs!r}")
+        return cls(
+            TruncationSpec(spec["max_degree"], spec["dim"]),
+            {BasisKey.from_label(label): _decode_number(label, pair)
+             for label, pair in coeffs.items()},
+        )
 
 
 def inner(kind: str, psi: FockVector, phi: FockVector):
@@ -241,18 +273,14 @@ def tensor_power(x: EVector, n: int, spec: TruncationSpec) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _compositions_cached(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     if k == 1:
         return ((n,),)
     out = []
     for first in range(n + 1):
-        for rest in _compositions_cached(n - first, k - 1):
+        for rest in _compositions(n - first, k - 1):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def _compositions(n: int, k: int):
-    return _compositions_cached(n, k)
 
 
 def exponential_vector(x: EVector, spec: TruncationSpec) -> FockVector:
@@ -361,34 +389,20 @@ def _encode_number(z):
     return [z.real, z.imag]
 
 
-def _decode_number(pair):
+def _decode_number(label: str, pair):
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ValueError(f"coefficient of {label!r} must be a [re, im] pair, got {pair!r}")
     re, im = pair
     if isinstance(re, str):
-        frac = Fraction(re)
         if im not in ("0", "0/1"):
-            raise ValueError("rational coefficients must be real")
-        return frac
+            raise ValueError(f"coefficient of {label!r}: rational coefficients must be real")
+        return Fraction(re)
+    if not {type(re), type(im)} <= {int, float}:
+        raise ValueError(f"coefficient of {label!r} must hold two numbers, got {pair!r}")
     if im == 0:
-        return float(re) if isinstance(re, (int, float)) else re
+        return float(re)
     return complex(re, im)
 
 
-def to_json(v: FockVector) -> str:
-    """Serialize to JSON; rational coefficients round-trip bit exactly."""
-    payload = {
-        "spec": {"max_degree": v.spec.max_degree, "dim": v.spec.dim},
-        "coeffs": {k.label(): _encode_number(c) for k, c in sorted(
-            v.coeffs.items(), key=lambda item: item[0].label()
-        )},
-    }
-    return json.dumps(payload, sort_keys=True, ensure_ascii=False)
-
-
-def from_json(text: str) -> FockVector:
-    payload = json.loads(text)
-    spec = TruncationSpec(payload["spec"]["max_degree"], payload["spec"]["dim"])
-    coeffs = {
-        BasisKey.from_label(label): _decode_number(pair)
-        for label, pair in payload["coeffs"].items()
-    }
-    return FockVector(spec, coeffs)
+to_json = FockVector.to_json
+from_json = FockVector.from_json

@@ -12,70 +12,40 @@ m = 1 and the finite-level norms of basis functions are reported as data
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import polycalc as pc
-from .fock_core import EVector, FockVector, TruncationSpec
+from .fock_core import GRAM_H, GRAM_W, EVector, FockVector, TruncationSpec
+from .fock_core import norm_sq as gram_norm_sq
 from .hardy_w import HardyWFunction
-from .operators import exp_annihilation, exp_creation
+from .operators import W_ADJOINT, adjoint, creation, exp_annihilation, exp_creation
 from .partitions import BasisKey, w_norm_sq
 from .unitary_haar import DEFAULT_CHUNK, chunk_plan, haar_batch, substream
 from .unitary_haar import _chunk_stats, _map_chunks, _mean_stderr, _merge_stats, _z_score
 
 
-@dataclass
-class HardyChiFunction:
-    """Finite combination of the basis functions over virtual unitaries."""
+class HardyChiFunction(FockVector):
+    """Finite combination of the basis functions over virtual unitaries.
 
-    spec: TruncationSpec
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for key, value in self.coeffs.items():
-            if not self.spec.contains(key):
-                raise ValueError(f"key {key.label()} outside {self.spec}")
-            if value != 0:
-                clean[key] = value
-        self.coeffs = clean
-
-    @classmethod
-    def basis(cls, spec: TruncationSpec, key: BasisKey, value=1.0) -> "HardyChiFunction":
-        return cls(spec, {key: value})
+    Its coefficients live on the same canonical keys as the Fock side; the
+    type tags the model, so the two are never added to one another.
+    """
 
     @classmethod
     def constant(cls, spec: TruncationSpec, value=1.0) -> "HardyChiFunction":
-        return cls(spec, {BasisKey.vacuum(): value})
+        return cls.vacuum(spec, value)
 
-    def norm_sq(self) -> float:
+    def norm_sq(self, kind: str = GRAM_W) -> float:
+        """Sum of |coefficient|^2 times the Gram weight, computed apart from
+        ``fock_core.inner`` so that ``ftransform.isometry`` compares two routes."""
         return float(
-            sum(abs(v) ** 2 * float(w_norm_sq(k.diagram)) for k, v in self.coeffs.items())
+            sum(abs(v) ** 2 * float(gram_norm_sq(kind, k.diagram)) for k, v in self.coeffs.items())
         )
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def degree_component(self, n: int) -> "HardyChiFunction":
-        return HardyChiFunction(
-            self.spec, {k: v for k, v in self.coeffs.items() if k.degree() == n}
-        )
-
-    def degrees(self) -> set[int]:
-        return {k.degree() for k in self.coeffs}
-
-    def __add__(self, other: "HardyChiFunction") -> "HardyChiFunction":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return HardyChiFunction(self.spec, out)
-
-    def __sub__(self, other: "HardyChiFunction") -> "HardyChiFunction":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "HardyChiFunction":
-        return HardyChiFunction(self.spec, {k: s * v for k, v in self.coeffs.items()})
+    def norm(self, kind: str = GRAM_W) -> float:
+        return math.sqrt(self.norm_sq(kind))
 
     def max_index(self) -> int:
         return max((k.max_index() for k in self.coeffs), default=0)
@@ -113,6 +83,14 @@ def f_transform_inverse(g: HardyWFunction) -> HardyChiFunction:
 
 # -- transported operator groups ----------------------------------------------
 
+def _transport(f: HardyChiFunction, op, order: int = 1) -> HardyChiFunction:
+    """phi_map(op^order (phi_map_adjoint(f))): a Fock operator carried over."""
+    psi = phi_map_adjoint(f)
+    for _ in range(order):
+        psi = op.apply(psi)
+    return phi_map(psi)
+
+
 def mult_group_chi(f: HardyChiFunction, a: EVector, variant: str) -> HardyChiFunction:
     """Multiplicative group element realised through the annihilation exponential.
 
@@ -121,39 +99,25 @@ def mult_group_chi(f: HardyChiFunction, a: EVector, variant: str) -> HardyChiFun
     variant ("w_adjoint" with the weighted readout, "monomial" with the
     plain one).
     """
-    psi = exp_annihilation(a, f.spec, variant).apply(phi_map_adjoint(f))
-    return phi_map(psi)
+    return _transport(f, exp_annihilation(a, f.spec, variant))
 
 
 def shift_group_chi(f: HardyChiFunction, a: EVector) -> HardyChiFunction:
     """Shift group element realised through the creation exponential."""
-    psi = exp_creation(a, f.spec).apply(phi_map_adjoint(f))
-    return phi_map(psi)
+    return _transport(f, exp_creation(a, f.spec))
 
 
 def chi_shift_generator(f: HardyChiFunction, a: EVector, order: int = 1) -> HardyChiFunction:
     """Generator of the transported shift group (creation conjugated over)."""
-    from .operators import creation
-
-    op = creation(a, 1, f.spec)
-    psi = phi_map_adjoint(f)
-    for _ in range(order):
-        psi = op.apply(psi)
-    return phi_map(psi)
+    return _transport(f, creation(a, 1, f.spec), order)
 
 
 def chi_mult_generator(
     f: HardyChiFunction, a: EVector, variant: str, order: int = 1
 ) -> HardyChiFunction:
     """Generator of the transported multiplicative group (adjoint conjugated)."""
-    from .operators import GRAM_H, GRAM_W, adjoint, creation
-
-    kind = GRAM_W if variant == "w_adjoint" else GRAM_H
-    op = adjoint(kind, creation(a, 1, f.spec))
-    psi = phi_map_adjoint(f)
-    for _ in range(order):
-        psi = op.apply(psi)
-    return phi_map(psi)
+    kind = GRAM_W if variant == W_ADJOINT else GRAM_H
+    return _transport(f, adjoint(kind, creation(a, 1, f.spec)), order)
 
 
 # -- Monte Carlo estimators ---------------------------------------------------

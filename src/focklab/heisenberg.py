@@ -20,7 +20,7 @@ import numpy as np
 
 from . import polycalc as pc
 from .fock_core import EVector, TruncationSpec
-from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse
+from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse, shift_group_chi
 from .hardy_w import HardyWFunction, shift
 
 
@@ -66,10 +66,6 @@ QUAT_ONE = Quaternion(1)
 QUAT_I = Quaternion(1j)
 QUAT_J = Quaternion(0, 1)
 QUAT_K = Quaternion(0, 1j)
-
-
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,6 @@ def ws_chi_agreement(
     composes the individually transported shift and multiplication (the
     matrix-level creation exponential for the multiplication part).
     """
-    from .hardy_chi import shift_group_chi
-
     route1 = WSOperatorChi(x, margin).apply(f)
     shifted = f_transform_inverse(shift(f_transform(f), x.a))
     route2 = shift_group_chi(shifted, x.b).scale(np.exp(complex(x.t)))

@@ -10,10 +10,13 @@ All weights are computed with big-integer factorials and returned as
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+
+_LABEL = re.compile(r"λ=\[([0-9,]*)\];ι=\[([0-9,]*)\]")
 
 
 @dataclass(frozen=True)
@@ -134,9 +137,10 @@ class BasisKey:
 
     @classmethod
     def from_label(cls, text: str) -> "BasisKey":
-        lam, iota = text.split(";")
-        parts = [int(x) for x in lam.split("=[")[1].rstrip("]").split(",") if x]
-        idx = [int(x) for x in iota.split("=[")[1].rstrip("]").split(",") if x]
+        match = _LABEL.fullmatch(text)
+        if match is None:
+            raise ValueError(f"malformed basis key label {text!r}")
+        parts, idx = ([int(x) for x in group.split(",") if x] for group in match.groups())
         return cls.make(parts, idx)
 
 

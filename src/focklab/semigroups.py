@@ -18,11 +18,7 @@ import numpy as np
 from . import polycalc as pc
 from .fock_core import EVector
 from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse
-from .hardy_w import (
-    HardyWFunction,
-    directional_derivative,
-    generator_mult,
-)
+from .hardy_w import HardyWFunction
 
 GW_SHIFT = "shift"
 GW_MULT = "mult"
@@ -88,21 +84,28 @@ def gw_mult(
     return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing, overflow)
 
 
-def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
-    """Closed form exp(r * (<.|a>)^2) applied as a finite series on polynomials."""
+def _gw_series(f: HardyWFunction, r: float, step) -> HardyWFunction:
+    """Sum of r^k / k! G^(2k) f on dense coefficients, where ``step`` applies
+    the generator G once and returns (coefficients, overflowed)."""
     if r <= 0:
         raise ValueError("time parameter must be positive")
-    out = f
-    term = f
-    overflow = False
+    term = f.coefficients()
+    out = term.copy()
+    overflow = f.overflow
     for k in range(1, f.spec.max_degree // 2 + 1):
-        term = generator_mult(generator_mult(term, a), a)
-        overflow = overflow or term.overflow
-        term = HardyWFunction(term.fock.scale(r / k), term.pairing, term.overflow)
-        out = HardyWFunction(out.fock + term.fock, f.pairing, overflow)
-        if not term.fock.coeffs:
+        term, first = step(term)
+        term, second = step(term)
+        overflow = overflow or first or second
+        term = term * (r / k)
+        if not term.any():
             break
-    return out
+        out += term
+    return HardyWFunction.from_coefficients(out, f.spec, f.pairing, overflow)
+
+
+def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
+    """Closed form exp(r * (<.|a>)^2) applied as a finite series on polynomials."""
+    return _gw_series(f, r, lambda c: pc.apply_mult_linear(c, a, f.spec))
 
 
 def gw_shift(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
@@ -110,17 +113,7 @@ def gw_shift(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
 
     Exact on polynomials since the derivative is nilpotent.
     """
-    if r <= 0:
-        raise ValueError("time parameter must be positive")
-    out = f
-    term = f
-    for k in range(1, f.spec.max_degree // 2 + 1):
-        term = directional_derivative(term, a, 2)
-        term = HardyWFunction(term.fock.scale(r / k), term.pairing)
-        if not term.fock.coeffs:
-            break
-        out = HardyWFunction(out.fock + term.fock, f.pairing, f.overflow)
-    return out
+    return _gw_series(f, r, lambda c: (pc.apply_derivative(c, a, f.spec), False))
 
 
 def gw_shift_quadrature(

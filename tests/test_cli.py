@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from focklab import cli
 from focklab import unitary_haar as uh
@@ -77,6 +78,38 @@ def test_function_payload_round_trip():
     chi = HardyChiFunction(SPEC, {BasisKey.vacuum(): 2.0})
     back_chi = cli.chi_from_payload(cli.chi_to_payload(chi))
     assert back_chi.coeffs == chi.coeffs
+
+
+@given(st.dictionaries(
+    st.lists(st.integers(0, 2), min_size=2, max_size=2).map(tuple).filter(lambda e: sum(e) <= 4),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    max_size=5,
+))
+def test_chi_payload_round_trip_keeps_type(coeffs):
+    chi = HardyChiFunction(SPEC, {BasisKey.from_exponents(e): c for e, c in coeffs.items()})
+    back = cli.chi_from_payload(json.loads(json.dumps(cli.chi_to_payload(chi))))
+    assert type(back) is HardyChiFunction
+    assert back.spec == chi.spec
+    assert {k: complex(c) for k, c in back.coeffs.items()} == chi.coeffs
+
+
+def test_pairing_is_not_a_knob(tmp_path):
+    assert "pairing" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
+    path = tmp_path / "cfg"
+    path.write_text("pairing = h\n")
+    with pytest.raises(ValueError, match="unknown config key 'pairing'"):
+        cli.load_config(str(path))
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["run", "weights", "--pairing", "h"])
+
+
+def test_resolved_pairing_is_the_readout_that_ran():
+    cfg = dataclasses.replace(cli.RunConfig(), variant="monomial", samples=4000)
+    report = cli.run_suite("ftransform", cfg)
+    assert report["resolved"] == {"pairing": "h", "variant": "monomial"}
+    cases = {case["id"]: case for case in report["cases"]}
+    assert "readout h" in cases["ftransform.intertwine_mult"]["statement"]
+    assert report["passed"]
 
 
 def test_dump_weights_cli(tmp_path):

@@ -1,10 +1,12 @@
 """Fock vector algebra: inner products, coherent vectors, products, polarization."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from focklab.fock_core import (
     EVector,
@@ -210,3 +212,52 @@ def test_serialization_complex():
     v = FockVector(SPEC, {_key((2,), (1,)): 1.5 - 2.25j, BasisKey.vacuum(): 3.0})
     again = from_json(to_json(v))
     assert again.coeffs == {k: complex(c) for k, c in v.coeffs.items()}
+
+
+# -- malformed payloads and round trips -------------------------------------
+
+_GOOD_SPEC = {"max_degree": 4, "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        ({"coeffs": {}}, "'spec' must hold integer"),
+        ({"spec": _GOOD_SPEC}, "'coeffs' must map"),
+        ({"spec": _GOOD_SPEC, "coeffs": [["λ=[];ι=[]", [1.0, 0.0]]]}, "'coeffs' must map"),
+        ({"spec": _GOOD_SPEC, "coeffs": {"λ=[1];ι=[1]": [1.0]}}, r"must be a \[re, im\] pair"),
+        ({"spec": _GOOD_SPEC, "coeffs": {"garbage": [1.0, 0.0]}}, "malformed basis key label"),
+        ({"spec": _GOOD_SPEC, "coeffs": {"λ=[1];ι=[1]": [None, 0]}}, "must hold two numbers"),
+        ({"spec": {"max_degree": "4", "dim": 2}, "coeffs": {}}, "'spec' must hold integer"),
+        ([1, 2], "must be a JSON object"),
+    ],
+    ids=["no-spec", "no-coeffs", "coeffs-list", "short-pair", "bad-label", "null-number",
+         "string-degree", "not-object"],
+)
+def test_from_json_rejects_malformed_payload(payload, fault):
+    with pytest.raises(ValueError, match=fault):
+        from_json(json.dumps(payload))
+
+
+_EXPONENTS = st.lists(st.integers(0, 3), min_size=4, max_size=4)
+_WIDE = TruncationSpec(12, 4)
+
+
+@given(st.dictionaries(_EXPONENTS.map(tuple), st.fractions(max_denominator=10**6), max_size=6))
+def test_serialization_round_trip_rational(coeffs):
+    v = FockVector(_WIDE, {BasisKey.from_exponents(e): c for e, c in coeffs.items()})
+    again = from_json(to_json(v))
+    assert again == v
+    assert all(isinstance(c, Fraction) for c in again.coeffs.values())
+
+
+@given(st.dictionaries(
+    _EXPONENTS.map(tuple),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    max_size=6,
+))
+def test_serialization_round_trip_complex(coeffs):
+    v = FockVector(_WIDE, {BasisKey.from_exponents(e): c for e, c in coeffs.items()})
+    again = from_json(to_json(v))
+    assert again.spec == v.spec
+    assert {k: complex(c) for k, c in again.coeffs.items()} == v.coeffs

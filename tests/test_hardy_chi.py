@@ -8,7 +8,7 @@ import pytest
 
 from focklab import polycalc as pc
 from focklab import unitary_haar as uh
-from focklab.fock_core import EVector, FockVector, GRAM_W, TruncationSpec
+from focklab.fock_core import EVector, FockVector, GRAM_H, GRAM_W, TruncationSpec
 from focklab.hardy_chi import (
     HardyChiFunction,
     chi_mult_generator,
@@ -34,7 +34,7 @@ from focklab.hardy_w import (
     shift,
 )
 from focklab.operators import MONOMIAL, W_ADJOINT
-from focklab.partitions import BasisKey, w_norm_sq
+from focklab.partitions import BasisKey, h_norm_sq, w_norm_sq
 from focklab.unitary_haar import invariance_report, pushforward_consistency, sample_moments
 
 SPEC = TruncationSpec(6, 3)
@@ -49,6 +49,24 @@ def test_norms_use_weighted_table():
     k = BasisKey.make((1, 1), (1, 2))
     f = HardyChiFunction.basis(SPEC, k, 2.0)
     assert f.norm_sq() == pytest.approx(4 * float(w_norm_sq(k.diagram)))
+
+
+def test_chi_functions_are_tagged_fock_vectors():
+    assert issubclass(HardyChiFunction, FockVector)
+    for name in ("__post_init__", "__add__", "__sub__", "scale", "degrees", "degree_component"):
+        assert name not in vars(HardyChiFunction)
+    key = BasisKey.make((1, 1), (1, 2))
+    f = HardyChiFunction.basis(SPEC, key, 2.0)
+    psi = FockVector.basis(SPEC, key, 2.0)
+    for result in (f + f, f - f, f.scale(3), f.degree_component(2), HardyChiFunction.zero(SPEC)):
+        assert type(result) is HardyChiFunction
+    assert f.norm_sq(GRAM_H) == pytest.approx(4 * float(h_norm_sq(key.diagram)))
+    for mixed in (lambda: f + psi, lambda: psi + f, lambda: f - psi, lambda: psi - f):
+        with pytest.raises(TypeError):
+            mixed()
+    assert f != psi and f.coeffs == psi.coeffs
+    with pytest.raises(ValueError):
+        HardyChiFunction(SPEC, {BasisKey.make((1,), (4,)): 1.0})
 
 
 def test_phi_map_is_isometric_conjugation():

@@ -27,7 +27,6 @@ from focklab.heisenberg import (
     heis_inv,
     heis_mul,
     orbit_rank_probe,
-    quat_mul,
     weyl,
     weyl_relation_residual,
     ws_chi_agreement,
@@ -49,7 +48,7 @@ def test_quaternion_structure_constants():
     assert (QUAT_I * QUAT_K).isclose(Quaternion(0, -1))
     ijk = QUAT_I * QUAT_J * QUAT_K
     assert ijk.isclose(Quaternion(-1))
-    assert quat_mul(QUAT_ONE, QUAT_K).isclose(QUAT_K)
+    assert (QUAT_ONE * QUAT_K).isclose(QUAT_K)
 
 
 def test_quaternion_associativity():

@@ -85,6 +85,18 @@ def test_label_round_trip():
     assert BasisKey.from_label(BasisKey.vacuum().label()) == BasisKey.vacuum()
 
 
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=8))
+def test_label_round_trip_any_key(exponents):
+    key = BasisKey.from_exponents(exponents)
+    assert BasisKey.from_label(key.label()) == key
+
+
+@pytest.mark.parametrize("text", ["garbage", "λ=[1]", "λ=[1];ι=[1];", "x=[1];y=[1]", "λ=[a];ι=[1]"])
+def test_label_parser_rejects_malformed_text(text):
+    with pytest.raises(ValueError, match="malformed basis key label"):
+        BasisKey.from_label(text)
+
+
 def test_enumerate_counts_match_binomials_and_brute_force():
     for d in range(1, 6):
         for n in range(7):

@@ -10,6 +10,7 @@ from focklab.hardy_chi import f_transform_inverse
 from focklab.hardy_w import (
     HardyWFunction,
     directional_derivative,
+    generator_mult,
     multiply_exp,
     random_evector,
     random_polynomial,
@@ -180,3 +181,37 @@ def test_batched_quadrature_equals_node_by_node(r, degree):
             gap = np.linalg.norm(got.coefficients() - want)
             assert gap <= 1e-12 * np.linalg.norm(want)
             assert got.overflow == overflow
+
+
+def _series_term_by_term(f, a, r, generator):
+    """Sum of r^k / k! G^(2k) f, one HardyWFunction per term, overflow flags
+    carried through each term (the dict-based form of both series)."""
+    out = f
+    term = f
+    overflow = f.overflow
+    for k in range(1, f.spec.max_degree // 2 + 1):
+        term = generator(generator(term, a), a)
+        overflow = overflow or term.overflow
+        term = HardyWFunction(term.fock.scale(r / k), term.pairing, term.overflow)
+        out = HardyWFunction(out.fock + term.fock, f.pairing, overflow)
+    return out
+
+
+@pytest.mark.parametrize("r", [0.1, 1.0])
+@pytest.mark.parametrize("pairing", ["w", "h", "taylor"])
+@pytest.mark.parametrize("degree", [0, 3, 6])
+def test_dense_series_equal_term_by_term(r, pairing, degree):
+    rng = np.random.default_rng(degree)
+    f = random_polynomial(SPEC, rng, degree, pairing)
+    for a in (random_evector(3, rng, 0.8), EVector.zero(3)):
+        for series, generator in ((gw_mult_oracle, generator_mult),
+                                  (gw_shift, directional_derivative)):
+            got = series(f, a, r)
+            want = _series_term_by_term(f, a, r, generator)
+            gap = np.linalg.norm(got.coefficients() - want.coefficients())
+            assert gap <= 1e-12 * max(np.linalg.norm(want.coefficients()), 1.0)
+            assert (got.pairing, got.overflow) == (want.pairing, want.overflow)
+    short = TruncationSpec(1, 2)
+    g = HardyWFunction(FockVector.basis(short, BasisKey.make((1,), (2,)), 2.0), pairing, True)
+    for series in (gw_mult_oracle, gw_shift):
+        assert series(g, EVector((1.0, 0.5)), r) == g
