@@ -387,6 +387,21 @@ def suite_operators(cfg: RunConfig):
                       "creation and annihilation exponentials compose additively",
                       add_worst, cfg.tol("group", 1e-10)))
 
+    # own stream, so the draws of the other cases stay as they were
+    power_rng = _rng(cfg, "operators.creation_power")
+    power_worst = 0.0
+    for _ in range(20):
+        a = hw.random_evector(3, power_rng)
+        first = ops.creation(a, 1, spec)
+        iterated = first
+        for m in range(2, 5):
+            iterated = first.compose(iterated)
+            power_worst = max(power_worst,
+                              ops.creation(a, m, spec).max_block_difference(iterated))
+    cases.append(Case("operators.creation_power",
+                      "creation(a, m) equals the m-th power of creation(a, 1) for m <= 4",
+                      power_worst, cfg.tol("group", 1e-10)))
+
     coh_worst = 0.0
     grow_worst = 0.0
     nabla_worst = 0.0
@@ -1150,7 +1165,7 @@ def write_summary_csv(reports: list[dict], out_dir: Path) -> Path:
     write_csv(
         ["suite", "case", "status", "residual", "tolerance"],
         ([report["suite"], case["id"], case["status"],
-          repr(case["residual"]), repr(case["tolerance"])]
+          repr(float(case["residual"])), repr(case["tolerance"])]
          for report in reports for case in report["cases"]),
         path,
     )
@@ -1180,8 +1195,32 @@ def function_to_payload(f: hw.HardyWFunction) -> dict:
     return {"pairing": f.pairing, "fock": json.loads(fc.to_json(f.fock))}
 
 
+class InputError(ValueError):
+    """A malformed input file or argument; ``main`` reports it as one error line."""
+
+
+def _parse_input(source: str, parse, *args):
+    """``parse(*args)``, with any ``ValueError`` turned into an ``InputError`` naming ``source``."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from exc
+
+
+def _read_payload(path: str, parse, *args):
+    """``parse`` applied to the JSON document in ``path``, as an input."""
+    return _parse_input(path, lambda: parse(json.loads(Path(path).read_text()), *args))
+
+
+def _fock_field(payload, what: str) -> str:
+    """The ``fock`` vector of a function payload, as JSON text for ``from_json``."""
+    if not isinstance(payload, dict) or "fock" not in payload:
+        raise ValueError(f"{what} payload must be a JSON object with a 'fock' field")
+    return json.dumps(payload["fock"])
+
+
 def function_from_payload(payload: dict) -> hw.HardyWFunction:
-    fock = fc.from_json(json.dumps(payload["fock"]))
+    fock = fc.from_json(_fock_field(payload, "function"))
     return hw.HardyWFunction(fock, payload.get("pairing", pc.TAYLOR))
 
 
@@ -1190,10 +1229,12 @@ def chi_to_payload(f: hc.HardyChiFunction) -> dict:
 
 
 def chi_from_payload(payload: dict) -> hc.HardyChiFunction:
-    return hc.HardyChiFunction.from_json(json.dumps(payload["fock"]))
+    return hc.HardyChiFunction.from_json(_fock_field(payload, "chi function"))
 
 
 def _parse_points(payload: dict, dim: int) -> list[fc.EVector]:
+    if not isinstance(payload, dict) or "points" not in payload:
+        raise ValueError("points payload must be a JSON object with a 'points' field")
     points = []
     for row in payload["points"]:
         coords = [complex(re, im) for re, im in row]
@@ -1204,8 +1245,8 @@ def _parse_points(payload: dict, dim: int) -> list[fc.EVector]:
 
 
 def cmd_eval(args) -> int:
-    f = function_from_payload(json.loads(Path(args.function).read_text()))
-    points = _parse_points(json.loads(Path(args.points).read_text()), f.spec.dim)
+    f = _read_payload(args.function, function_from_payload)
+    points = _read_payload(args.points, _parse_points, f.spec.dim)
     values = [hw.evaluate(f, x) for x in points]
     payload = {
         "pairing": f.pairing,
@@ -1228,8 +1269,8 @@ def cmd_haar_test(args) -> int:
 
 
 def cmd_ftransform(args) -> int:
-    f = chi_from_payload(json.loads(Path(args.function).read_text()))
-    points = _parse_points(json.loads(Path(args.points).read_text()), f.spec.dim)
+    f = _read_payload(args.function, chi_from_payload)
+    points = _read_payload(args.points, _parse_points, f.spec.dim)
     levels = [int(v) for v in args.levels.split(",")]
     exact = [hw.evaluate(hc.f_transform(f, fc.GRAM_W), x) for x in points]
     records = []
@@ -1267,8 +1308,8 @@ def _parse_direction(text: str, dim: int) -> fc.EVector:
 
 
 def cmd_gw(args) -> int:
-    f = function_from_payload(json.loads(Path(args.function).read_text()))
-    a = _parse_direction(args.direction, f.spec.dim)
+    f = _read_payload(args.function, function_from_payload)
+    a = _parse_input("--direction", _parse_direction, args.direction, f.spec.dim)
     rows = []
     for r in (float(v) for v in args.r_schedule.split(",")):
         quad = sg.gw_mult(f, a, r, args.nodes)
@@ -1401,7 +1442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"focklab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

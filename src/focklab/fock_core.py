@@ -260,16 +260,26 @@ def tensor_power(x: EVector, n: int, spec: TruncationSpec) -> FockVector:
     if not support:
         return FockVector.zero(spec)
     coeffs = {}
-    for combo in _compositions(n, len(support)):
-        exps = [0] * spec.dim
+    for key, factors, multinomial in _power_terms(n, tuple(support), spec.dim):
         mono = 1
-        for count, pos in zip(combo, support):
-            if count:
-                exps[pos] = count
-                mono = mono * x.coords[pos] ** count
-        key = BasisKey.from_exponents(exps)
-        coeffs[key] = mono * _multinomial(n, key.diagram)
+        for pos, count in factors:
+            mono = mono * x.coords[pos] ** count
+        coeffs[key] = mono * multinomial
     return FockVector(spec, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _power_terms(n: int, support: tuple[int, ...], dim: int) -> tuple:
+    """(key, ((position, count), ...), n!/diagram!) for each degree-n monomial on ``support``."""
+    out = []
+    for combo in _compositions(n, len(support)):
+        exps = [0] * dim
+        for count, pos in zip(combo, support):
+            exps[pos] = count
+        key = BasisKey.from_exponents(exps)
+        factors = tuple((pos, count) for count, pos in zip(combo, support) if count)
+        out.append((key, factors, _multinomial(n, key.diagram)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

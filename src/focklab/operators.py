@@ -4,6 +4,9 @@ Operators are stored as dense blocks between degree subspaces, indexed by
 the canonical key order.  Adjoints are computed from the block matrices
 and the diagonal Gram of the chosen inner product, so the closed-form
 annihilation action on monomials stays available as an independent oracle.
+The merge structure of a creation block (which target key each pair of a
+source key and an amplitude key lands on) is cached per (spec, source
+degree, order) and does not depend on the amplitude vector.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -34,14 +39,20 @@ def degree_basis(spec: TruncationSpec, n: int) -> tuple[BasisKey, ...]:
     return degree_keys(n, spec.dim) if n <= spec.max_degree else ()
 
 
-def degree_index(spec: TruncationSpec, n: int) -> dict[BasisKey, int]:
-    return {k: i for i, k in enumerate(degree_basis(spec, n))}
+@lru_cache(maxsize=None)
+def degree_index(spec: TruncationSpec, n: int) -> MappingProxyType:
+    """Read-only map from the degree-n keys to their positions in the basis."""
+    return MappingProxyType({k: i for i, k in enumerate(degree_basis(spec, n))})
 
 
+@lru_cache(maxsize=None)
 def gram_diagonal(kind: str, spec: TruncationSpec, n: int) -> np.ndarray:
-    return np.array(
+    """Gram weights of the degree-n basis as a read-only float array."""
+    out = np.array(
         [float(norm_sq(kind, k.diagram)) for k in degree_basis(spec, n)], dtype=float
     )
+    out.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -72,14 +83,13 @@ class OperatorMatrix:
     def apply(self, v: FockVector) -> FockVector:
         if v.spec != self.spec:
             raise ValueError("spec mismatch")
-        dense = {}
-        for n in v.degrees():
-            basis = degree_basis(self.spec, n)
-            col = np.zeros(len(basis), dtype=complex)
-            index = degree_index(self.spec, n)
-            for key, value in v.degree_component(n).coeffs.items():
-                col[index[key]] = complex(value)
-            dense[n] = col
+        dense: dict[int, np.ndarray] = {}
+        for key, value in v.coeffs.items():
+            n = key.degree()
+            col = dense.get(n)
+            if col is None:
+                col = dense[n] = np.zeros(len(degree_basis(self.spec, n)), dtype=complex)
+            col[degree_index(self.spec, n)[key]] = complex(value)
         out: dict[int, np.ndarray] = {}
         for (src, tgt), block in self.blocks.items():
             col = dense.get(src)
@@ -141,6 +151,28 @@ class OperatorMatrix:
         return worst
 
 
+@lru_cache(maxsize=None)
+def _merge_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
+    """Target rows of creation block (src, src+m), one per (source key, amplitude key).
+
+    Entry [j, k] is the position in the degree-(src+m) basis of the key whose
+    exponents are those of source key j plus those of degree-m key k.
+    """
+    tgt_index = degree_index(spec, src + m)
+    amp_exps = [k.exponents(spec.dim) for k in degree_basis(spec, m)]
+    rows = []
+    for key in degree_basis(spec, src):
+        exps = key.exponents(spec.dim)
+        rows.append([tgt_index[BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))]
+                     for aexp in amp_exps])
+    # distinct amplitude keys land on distinct targets of one source column,
+    # so one scatter per block writes every entry at most once
+    assert all(len(set(row)) == len(row) for row in rows)
+    table = np.array(rows, dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
     """Degree-raising symmetric multiplication by the m-th tensor power of a.
 
@@ -152,31 +184,23 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
         raise ValueError("order m must be >= 1")
     if a.dim != spec.dim:
         raise ValueError("dimension mismatch")
-    zero = all(c == 0 for c in a.coords)
     op = OperatorMatrix.zero(spec)
-    if zero:
+    if all(c == 0 for c in a.coords):
         return op
-    amp = tensor_power(a, m, spec) if m <= spec.max_degree else None
-    dropped = m > spec.max_degree
-    if amp is not None:
-        for src in range(spec.max_degree + 1):
-            tgt = src + m
-            if tgt > spec.max_degree:
-                dropped = True
-                continue
-            src_keys = degree_basis(spec, src)
-            tgt_index = degree_index(spec, tgt)
-            block = np.zeros((len(tgt_index), len(src_keys)), dtype=complex)
-            for j, key in enumerate(src_keys):
-                exps = key.exponents(spec.dim)
-                for akey, aval in amp.coeffs.items():
-                    aexp = akey.exponents(spec.dim)
-                    merged = BasisKey.from_exponents(
-                        tuple(x + y for x, y in zip(exps, aexp))
-                    )
-                    block[tgt_index[merged], j] += complex(aval)
-            op.blocks[(src, tgt)] = block
-    op.dropped_overflow = dropped
+    op.dropped_overflow = True  # the top source degree always spills over the cap
+    if m > spec.max_degree:
+        return op
+    # adding to zeros maps a -0.0 amplitude to +0.0, as accumulating into a
+    # zero block does
+    amp = np.zeros(len(degree_basis(spec, m)), dtype=complex)
+    index = degree_index(spec, m)
+    for key, value in tensor_power(a, m, spec).coeffs.items():
+        amp[index[key]] += complex(value)
+    for src in range(spec.max_degree - m + 1):
+        table = _merge_table(spec, src, m)
+        block = np.zeros((len(degree_basis(spec, src + m)), table.shape[0]), dtype=complex)
+        block[table, np.arange(table.shape[0])[:, None]] = amp
+        op.blocks[(src, src + m)] = block
     return op
 
 

@@ -185,6 +185,7 @@ def enumerate_keys(max_degree: int, dim: int) -> tuple[BasisKey, ...]:
     return tuple(keys)
 
 
+@lru_cache(maxsize=None)
 def degree_keys(degree: int, dim: int) -> tuple[BasisKey, ...]:
     """Canonical keys of one fixed degree, in enumeration order."""
     all_keys = enumerate_keys(degree, dim)

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -132,6 +133,62 @@ def test_eval_cli(tmp_path):
     assert rc == 0
     values = json.loads(out.read_text())["values"]
     assert values == [[2.0, 0.0]]
+
+
+def test_eval_cli_rejects_payload_without_fock(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps({"pairing": "w"}))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[[2.0, 0.0], [0.0, 0.0]]]}))
+    rc = cli.main(["eval", "--function", str(fn), "--points", str(pts)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("focklab: error: ") and "'fock'" in err
+    assert err.count("\n") == 1
+
+
+def test_eval_cli_rejects_points_payload_without_points(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[[2.0, 0.0], [0.0, 0.0]]]))
+    assert cli.main(["eval", "--function", str(fn), "--points", str(pts)]) == 2
+    assert "'points' field" in capsys.readouterr().err
+
+
+def test_gw_cli_rejects_malformed_direction(tmp_path, capsys):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))))
+    assert cli.main(["gw", "--function", str(fn), "--direction", "1.0"]) == 2
+    assert capsys.readouterr().err == "focklab: error: --direction: direction dimension mismatch\n"
+
+
+def test_internal_value_error_keeps_its_traceback(tmp_path, monkeypatch):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[[2.0, 0.0], [0.0, 0.0]]]}))
+
+    def broken(f, x):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.hw, "evaluate", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["eval", "--function", str(fn), "--points", str(pts)])
+
+
+@pytest.mark.parametrize("payload", [{"kind": "chi"}, [1, 2], "chi"])
+def test_chi_payload_without_fock_names_the_field(payload):
+    with pytest.raises(ValueError, match="'fock' field"):
+        cli.chi_from_payload(payload)
+
+
+def test_summary_csv_writes_numpy_residuals_as_plain_floats(tmp_path):
+    reports = [{"suite": "s", "cases": [
+        {"id": "s.a", "status": "pass", "residual": np.float64(1.5e-13), "tolerance": 1e-10},
+    ]}]
+    lines = cli.write_summary_csv(reports, tmp_path).read_text().splitlines()
+    assert lines[1] == "s,s.a,pass,1.5e-13,1e-10"
 
 
 def test_gw_cli(tmp_path):

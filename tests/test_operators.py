@@ -22,9 +22,12 @@ from focklab.operators import (
     adjoint,
     annihilation_monomial,
     creation,
+    degree_basis,
+    degree_index,
     exp_annihilation,
     exp_creation,
     export_blocks,
+    gram_diagonal,
     load_blocks,
 )
 from focklab.partitions import BasisKey
@@ -54,6 +57,62 @@ def test_creation_zero_vector():
 def test_creation_overflow_flag():
     op = creation(EVector.basis(1, 3), 1, SPEC)
     assert op.dropped_overflow  # the top degree always spills over
+
+
+def _creation_by_pairs(a, m, spec):
+    """Reference assembly: merge every (source key, amplitude key) pair afresh."""
+    op = OperatorMatrix.zero(spec)
+    if all(c == 0 for c in a.coords):
+        return op
+    amp = tensor_power(a, m, spec) if m <= spec.max_degree else None
+    dropped = m > spec.max_degree
+    if amp is not None:
+        for src in range(spec.max_degree + 1):
+            tgt = src + m
+            if tgt > spec.max_degree:
+                dropped = True
+                continue
+            src_keys = degree_basis(spec, src)
+            tgt_keys = degree_basis(spec, tgt)
+            tgt_index = {k: i for i, k in enumerate(tgt_keys)}
+            block = np.zeros((len(tgt_keys), len(src_keys)), dtype=complex)
+            for j, key in enumerate(src_keys):
+                exps = key.exponents(spec.dim)
+                for akey, aval in amp.coeffs.items():
+                    aexp = akey.exponents(spec.dim)
+                    merged = BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))
+                    block[tgt_index[merged], j] += complex(aval)
+            op.blocks[(src, tgt)] = block
+    op.dropped_overflow = dropped
+    return op
+
+
+@pytest.mark.parametrize("spec", [TruncationSpec(6, 3), TruncationSpec(6, 4),
+                                  TruncationSpec(4, 5), TruncationSpec(3, 1)])
+def test_creation_equals_pairwise_reference_bitwise(spec):
+    rng = np.random.default_rng(9)
+    # a signed-zero imaginary part must come out as the loop's +0.0
+    signed = EVector((complex(-1.0, -0.0),) + (0.5,) * (spec.dim - 1))
+    for a in (_rand(rng, spec.dim), signed, EVector.zero(spec.dim)):
+        for m in range(1, spec.max_degree + 2):
+            got, want = creation(a, m, spec), _creation_by_pairs(a, m, spec)
+            assert got.dropped_overflow == want.dropped_overflow
+            assert list(got.blocks) == list(want.blocks)
+            if a.norm() == 0:
+                assert got.blocks == {} and not got.dropped_overflow
+            for key, block in want.blocks.items():
+                assert got.blocks[key].tobytes() == block.tobytes()
+
+
+def test_cached_structure_is_read_only():
+    index = degree_index(SPEC, 2)
+    with pytest.raises(TypeError):
+        index[BasisKey.vacuum()] = 0
+    gram = gram_diagonal(GRAM_W, SPEC, 2)
+    with pytest.raises(ValueError):
+        gram[0] = 1.0
+    assert degree_index(SPEC, 2) is index and gram_diagonal(GRAM_W, SPEC, 2) is gram
+    assert np.array_equal(gram, [1.0, 1 / 6, 1 / 6, 1.0, 1 / 6, 1.0])
 
 
 def test_creation_matches_symmetric_product():
