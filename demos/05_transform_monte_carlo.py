@@ -2,11 +2,13 @@
 #
 # On coefficients the transform is an exact isometry.  The sampling model
 # replaces the limiting measure by Haar at a finite level m: at level one
-# the phase integrals have closed forms and the estimator reproduces them;
-# at higher levels the empirical norms of the basis functions decay like
-# inverse powers of m while the limiting weight stays fixed - the study
-# below reports both sides without forcing an agreement.
+# the phase integrals have closed forms and the estimator reproduces them.
+# At level m the squared norm of u^alpha is exactly (m-1)! alpha!/(m-1+n)!
+# with n = |alpha| (Rudin 1980, section 1.4), and the weight w_norm_sq of a
+# diagram is this value at m = its length; the study below shows both.
 
+
+import math
 
 from focklab import EVector, TruncationSpec
 from focklab.hardy_chi import (
@@ -41,15 +43,16 @@ for samples in (12500, 25000, 50000, 100000):
     prev = est.stderr
 
 print()
-print("=== finite-level norms vs the limiting weight ===")
+print("=== finite-level norms vs the exact level value ===")
 for key in (BasisKey.make((1,), (1,)), BasisKey.make((2,), (1,))):
     rows = norm_convergence_study(key, (1, 2, 4, 8), samples=50000, seed=60)
-    print(f"  key {key.label()}  (limiting weight {float(w_norm_sq(key.diagram))}):")
+    n = key.degree()
+    print(f"  key {key.label()}  (weight {float(w_norm_sq(key.diagram))}, the level-1 value):")
     for row in rows:
-        print(f"    level {row['level']}: empirical {row['empirical']:.4f}"
-              f" +- {row['stderr']:.4f}")
-    print("    The finite-level values decay with the level; the limiting weight")
-    print("    does not.  The study records the data without a pass contract.")
+        m = row["level"]
+        exact = math.factorial(m - 1) * key.diagram.factorial() / math.factorial(m - 1 + n)
+        print(f"    level {m}: empirical {row['empirical']:.4f}"
+              f" +- {row['stderr']:.4f}  exact (m-1)! alpha!/(m-1+n)! = {exact:.4f}")
 
 print()
 print("=== exact model value for comparison ===")

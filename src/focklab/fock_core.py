@@ -1,20 +1,24 @@
 """Truncated model of the weighted symmetric Fock space.
 
-Vectors are sparse maps from canonical basis keys to coefficients.  Two
-inner products are carried side by side: the plain symmetric-tensor Gram
-("h") and the weighted Gram ("w") obtained by rescaling each basis norm
-with the diagram's weight constant.  Coefficients may be floats/complex
-(default) or ``fractions.Fraction`` for exact combinatorial checks.
+A vector is one dense array over the rows of its workspace's ``layout``.
+Two inner products are carried side by side: the plain symmetric-tensor Gram
+("h") and the weighted Gram ("w") obtained by rescaling each basis norm with
+the diagram's weight constant.  Coefficients are complex, or ``Fraction``
+for exact combinatorial checks.  Keys appear only at the boundaries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
+from types import MappingProxyType
+
+import numpy as np
 
 from .partitions import (
     BasisKey,
@@ -26,7 +30,6 @@ from .partitions import (
 
 GRAM_W = "w"
 GRAM_H = "h"
-_GRAMS = (GRAM_W, GRAM_H)
 
 
 class TruncationOverflowError(ValueError):
@@ -62,12 +65,76 @@ def norm_sq(kind: str, diagram: YoungDiagram) -> Fraction:
     raise ValueError(f"unknown inner product kind {kind!r}")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class Layout:
+    """The rows of one workspace, in ``enumerate_keys`` order: by degree, so
+    they are the first rows of any deeper workspace of the same dimension.
+
+    Keys, the key-to-row map, row diagrams and Gram weights are built on
+    first use; everything cached is read-only.
+    """
+
+    def __init__(self, spec: TruncationSpec):
+        self.spec = spec
+        # rows below degree n: the monomials of degree < n in dim variables
+        self.offsets = tuple(math.comb(n - 1 + spec.dim, spec.dim)
+                             for n in range(spec.max_degree + 2))
+        self.size = self.offsets[-1]
+
+    def rows(self, n: int) -> slice:
+        """Rows of the degree-n keys; empty outside 0..max_degree."""
+        if not 0 <= n <= self.spec.max_degree:
+            return slice(0, 0)
+        return slice(self.offsets[n], self.offsets[n + 1])
+
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        d = self.spec.dim
+        counts = (combo.count(k) for n in range(self.spec.max_degree + 1)
+                  for combo in combinations_with_replacement(range(d), n) for k in range(d))
+        return _read_only(np.fromiter(counts, np.int64, self.size * d).reshape(self.size, d))
+
+    @cached_property
+    def degree(self) -> np.ndarray:
+        return _read_only(self.exponents.sum(axis=1))
+
+    @cached_property
+    def keys(self) -> tuple[BasisKey, ...]:
+        return enumerate_keys(self.spec.max_degree, self.spec.dim)
+
+    @cached_property
+    def index(self) -> MappingProxyType:
+        return MappingProxyType({k: i for i, k in enumerate(self.keys)})
+
+    @cached_property
+    def diagrams(self) -> tuple[YoungDiagram, ...]:
+        """The diagram of each row: its nonzero exponents, largest first."""
+        parts = [tuple(p for p in row if p) for row in (-np.sort(-self.exponents)).tolist()]
+        made = {p: YoungDiagram(p) for p in set(parts)}
+        return tuple(made[p] for p in parts)
+
+    @lru_cache(maxsize=None)
+    def gram(self, kind: str, exact: bool = False) -> np.ndarray:
+        """Gram weight of each row, as floats or as ``Fraction``s."""
+        weights = [norm_sq(kind, diagram) for diagram in self.diagrams]
+        return _read_only(np.array(weights, dtype=object if exact else float))
+
+
+@lru_cache(maxsize=None)
+def layout(spec: TruncationSpec) -> Layout:
+    return Layout(spec)
+
+
 def _conj(z):
     return z.conjugate() if hasattr(z, "conjugate") else z
 
 
-def _is_zero(z) -> bool:
-    return z == 0
+def _exact(values) -> bool:
+    return any(isinstance(v, Fraction) for v in values)
 
 
 class EVector:
@@ -117,25 +184,37 @@ class EVector:
         return f"EVector({self.coords!r})"
 
 
-@dataclass
+@dataclass(eq=False, init=False)
 class FockVector:
-    """Sparse element of the truncated symmetric algebra.
+    """Element of the truncated symmetric algebra as one read-only array.
 
-    Subclasses tag the model a vector belongs to: arithmetic keeps the type
-    of its operands and refuses to mix two models.
+    ``array`` runs over the rows of ``layout(spec)``.  The constructor takes
+    ``coeffs`` as a map from basis keys to coefficients or as that array.
+    The array is complex, or of object dtype holding ``Fraction``s (and ints)
+    for exact checks; an object array that picks up anything else is stored
+    as complex.  Subclasses tag the model a vector belongs to: arithmetic
+    keeps the type of its operands and refuses to mix two models.
     """
 
     spec: TruncationSpec
-    coeffs: dict = field(default_factory=dict)
+    array: np.ndarray
 
-    def __post_init__(self):
-        clean = {}
-        for key, value in self.coeffs.items():
-            if not self.spec.contains(key):
-                raise TruncationOverflowError(f"key {key.label()} outside {self.spec}")
-            if not _is_zero(value):
-                clean[key] = value
-        self.coeffs = clean
+    def __init__(self, spec: TruncationSpec, coeffs=None):
+        rows, array = layout(spec), coeffs
+        if not isinstance(array, np.ndarray):
+            coeffs = coeffs or {}
+            array = np.zeros(rows.size, dtype=object if _exact(coeffs.values()) else complex)
+            for key, value in coeffs.items():
+                if not spec.contains(key):
+                    raise TruncationOverflowError(f"key {key.label()} outside {spec}")
+                array[rows.index[key]] = value
+        if array.shape != (rows.size,):
+            raise ValueError(f"array of shape {array.shape} does not fit {spec}")
+        if array.dtype != complex and not (
+            array.dtype == object and all(isinstance(v, (Fraction, int)) for v in array)
+        ):
+            array = array.astype(complex)
+        self.spec, self.array = spec, _read_only(array)
 
     @classmethod
     def vacuum(cls, spec: TruncationSpec, value=1.0) -> "FockVector":
@@ -143,19 +222,27 @@ class FockVector:
 
     @classmethod
     def zero(cls, spec: TruncationSpec) -> "FockVector":
-        return cls(spec, {})
+        return cls(spec, np.zeros(layout(spec).size, dtype=complex))
 
     @classmethod
     def basis(cls, spec: TruncationSpec, key: BasisKey, value=1.0) -> "FockVector":
         return cls(spec, {key: value})
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only map from the keys of the nonzero rows to their values."""
+        keys = layout(self.spec).keys
+        rows = np.flatnonzero(self.array)
+        return MappingProxyType(dict(zip((keys[i] for i in rows), self.array[rows].tolist())))
+
     def degrees(self) -> set[int]:
-        return {k.degree() for k in self.coeffs}
+        return set(layout(self.spec).degree[np.flatnonzero(self.array)].tolist())
 
     def degree_component(self, n: int) -> "FockVector":
-        return type(self)(
-            self.spec, {k: v for k, v in self.coeffs.items() if k.degree() == n}
-        )
+        rows = layout(self.spec).rows(n)
+        out = np.zeros_like(self.array)
+        out[rows] = self.array[rows]
+        return type(self)(self.spec, out)
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -165,26 +252,27 @@ class FockVector:
             raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return type(self)(self.spec, out)
+        return type(self)(self.spec, self.array + other.array)
 
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self + other.scale(-1)
 
     def scale(self, s) -> "FockVector":
-        return type(self)(self.spec, {k: s * v for k, v in self.coeffs.items()})
+        return type(self)(self.spec, self.array * s)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.spec == other.spec and bool(np.array_equal(self.array, other.array))
 
     def norm_sq(self, kind: str):
         return inner(kind, self, self)
 
     def norm(self, kind: str) -> float:
-        value = self.norm_sq(kind)
-        return math.sqrt(float(value.real if hasattr(value, "real") else value))
+        return math.sqrt(float(self.norm_sq(kind).real))
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
+    def max_abs_coeff(self):
+        return max(np.abs(self.array).tolist(), default=0.0)
 
     def to_json(self) -> str:
         """Serialize to JSON; rational coefficients round-trip bit exactly."""
@@ -217,26 +305,16 @@ class FockVector:
 
 
 def inner(kind: str, psi: FockVector, phi: FockVector):
-    """Inner product; linear in the first argument, conjugated in the second."""
+    """Inner product; linear in the first argument, conjugated in the second.
+    A ``Fraction`` when both vectors are exact."""
     if psi.spec != phi.spec:
         raise ValueError("spec mismatch")
-    if kind not in _GRAMS:
-        raise ValueError(f"unknown inner product kind {kind!r}")
-    total = 0
-    small, large = psi.coeffs, phi.coeffs
-    for key, value in small.items():
-        other = large.get(key)
-        if other is None:
-            continue
-        weight = norm_sq(kind, key.diagram)
-        term = value * _conj(other)
-        if isinstance(term, Fraction) or (
-            isinstance(value, Fraction) and isinstance(other, Fraction)
-        ):
-            total += term * weight
-        else:
-            total += term * float(weight)
-    return total
+    exact = psi.array.dtype == phi.array.dtype == object
+    weights = layout(psi.spec).gram(kind, exact)
+    if exact:
+        return np.dot(psi.array * np.conjugate(phi.array), weights)
+    a, b = psi.array.astype(complex, copy=False), phi.array.astype(complex, copy=False)
+    return complex(np.dot(a * b.conj(), weights))
 
 
 def _multinomial(n: int, diagram: YoungDiagram) -> int:
@@ -253,24 +331,22 @@ def tensor_power(x: EVector, n: int, spec: TruncationSpec) -> FockVector:
         raise TruncationOverflowError(f"degree {n} exceeds cap {spec.max_degree}")
     if x.dim != spec.dim:
         raise ValueError("dimension mismatch")
+    exact = _exact(x.coords)
+    out = np.zeros(layout(spec).size, dtype=object if exact else complex)
+    support = tuple(i for i, c in enumerate(x.coords) if c != 0)
     if n == 0:
-        one = Fraction(1) if any(isinstance(c, Fraction) for c in x.coords) else 1.0
-        return FockVector.vacuum(spec, one)
-    support = [i for i, c in enumerate(x.coords) if not _is_zero(c)]
-    if not support:
-        return FockVector.zero(spec)
-    coeffs = {}
-    for key, factors, multinomial in _power_terms(n, tuple(support), spec.dim):
-        mono = 1
-        for pos, count in factors:
-            mono = mono * x.coords[pos] ** count
-        coeffs[key] = mono * multinomial
-    return FockVector(spec, coeffs)
+        out[0] = Fraction(1) if exact else 1.0
+    elif support:
+        for row, factors, multinomial in _power_terms(n, support, spec.dim):
+            out[row] = math.prod(x.coords[pos] ** count for pos, count in factors) * multinomial
+    return FockVector(spec, out)
 
 
 @lru_cache(maxsize=None)
 def _power_terms(n: int, support: tuple[int, ...], dim: int) -> tuple:
-    """(key, ((position, count), ...), n!/diagram!) for each degree-n monomial on ``support``."""
+    """(row, ((position, count), ...), n!/diagram!) for each degree-n monomial
+    on ``support``; the row is the key's row in every workspace of degree >= n."""
+    index = layout(TruncationSpec(n, dim)).index
     out = []
     for combo in _compositions(n, len(support)):
         exps = [0] * dim
@@ -278,7 +354,7 @@ def _power_terms(n: int, support: tuple[int, ...], dim: int) -> tuple:
             exps[pos] = count
         key = BasisKey.from_exponents(exps)
         factors = tuple((pos, count) for count, pos in zip(combo, support) if count)
-        out.append((key, factors, _multinomial(n, key.diagram)))
+        out.append((index[key], factors, _multinomial(n, key.diagram)))
     return tuple(out)
 
 
@@ -299,16 +375,12 @@ def exponential_vector(x: EVector, spec: TruncationSpec) -> FockVector:
     Equivalently the coefficient on each key is the key's monomial in x
     divided by the diagram factorial.
     """
-    out = FockVector.zero(spec)
+    exact = _exact(x.coords)
+    out = 0
     for n in range(spec.max_degree + 1):
-        part = tensor_power(x, n, spec)
-        scale = Fraction(1, math.factorial(n)) if _rational(part) else 1.0 / math.factorial(n)
-        out = out + part.scale(scale)
-    return out
-
-
-def _rational(v: FockVector) -> bool:
-    return any(isinstance(c, Fraction) for c in v.coeffs.values())
+        scale = Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n)
+        out = out + tensor_power(x, n, spec).array * scale
+    return FockVector(spec, out)
 
 
 def symmetric_product(phi: FockVector, psi: FockVector) -> FockVector:
@@ -321,17 +393,14 @@ def symmetric_product(phi: FockVector, psi: FockVector) -> FockVector:
     if phi.spec != psi.spec:
         raise ValueError("spec mismatch")
     spec = phi.spec
-    out = {}
-    for k1, v1 in phi.coeffs.items():
-        e1 = k1.exponents(spec.dim)
-        for k2, v2 in psi.coeffs.items():
-            if k1.degree() + k2.degree() > spec.max_degree:
-                raise TruncationOverflowError(
-                    f"product degree {k1.degree() + k2.degree()} exceeds cap"
-                )
-            e2 = k2.exponents(spec.dim)
-            merged = BasisKey.from_exponents(tuple(a + b for a, b in zip(e1, e2)))
-            out[merged] = out.get(merged, 0) + v1 * v2
+    rows = layout(spec)
+    out = np.zeros(rows.size, dtype=np.result_type(phi.array, psi.array))
+    for i, j in iter_product(np.flatnonzero(phi.array), np.flatnonzero(psi.array)):
+        degree = rows.degree[i] + rows.degree[j]
+        if degree > spec.max_degree:
+            raise TruncationOverflowError(f"product degree {degree} exceeds cap")
+        merged = BasisKey.from_exponents((rows.exponents[i] + rows.exponents[j]).tolist())
+        out[rows.index[merged]] += phi.array[i] * psi.array[j]
     return FockVector(spec, out)
 
 
@@ -357,19 +426,16 @@ def polarization(
     for part, index in zip(key.diagram.parts, key.tuple.indices):
         directions.extend([index] * part)
     one = Fraction(1) if exact else 1.0
-    total = FockVector.zero(spec)
+    total = 0
     for signs in iter_product((1, -1), repeat=n):
         coords = [0] * spec.dim
         for s, index in zip(signs, directions):
             coords[index - 1] += s
         a = EVector(tuple(one * c for c in coords))
-        sign = 1
-        for s in signs:
-            sign *= s
-        total = total + tensor_power(a, n, spec).scale(sign)
+        total = total + tensor_power(a, n, spec).array * math.prod(signs)
     denom = (2**n) * math.factorial(n)
     factor = Fraction(1, denom) if exact else 1.0 / denom
-    return total.scale(factor)
+    return FockVector(spec, total * factor)
 
 
 def hs_polynomial_eval(psi_n: FockVector, x: EVector):
@@ -383,9 +449,7 @@ def hs_polynomial_eval(psi_n: FockVector, x: EVector):
         raise ValueError("input must be homogeneous")
     total = 0
     for key, value in psi_n.coeffs.items():
-        mono = 1
-        for part, index in zip(key.diagram.parts, key.tuple.indices):
-            mono = mono * x.coords[index - 1] ** part
+        mono = math.prod(x.coords[i - 1] ** p for p, i in zip(key.diagram.parts, key.tuple.indices))
         total = total + _conj(value) * mono
     return total
 

@@ -4,15 +4,18 @@ The exact model stores coefficients over the product-of-first-row-entries
 basis functions; the squared basis norms coincide with the weighted Fock
 weights, so the basis change to the Fock side is a key-wise conjugation.
 The Monte Carlo model evaluates the same basis functions on Haar samples at
-a finite level m and estimates the integral transform; closed forms exist at
-m = 1 and the finite-level norms of basis functions are reported as data
-(they decay with m, unlike the limiting weights - a recorded open point).
+a finite level m and estimates the integral transform.  At level m the first
+row of a Haar unitary is uniform on the unit sphere of C^m, so
+the integral of |u^alpha|^2 is (m-1)! alpha! / (m-1+n)! with n = |alpha|, and
+distinct monomials are orthogonal (Rudin 1980, section 1.4); ``w_norm_sq`` of
+a diagram is this value at m equal to the diagram length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,16 +58,12 @@ class HardyChiFunction(FockVector):
 
 def phi_map(psi: FockVector) -> HardyChiFunction:
     """Conjugate-linear basis change from the Fock side; an exact isometry."""
-    return HardyChiFunction(
-        psi.spec, {k: complex(v).conjugate() for k, v in psi.coeffs.items()}
-    )
+    return HardyChiFunction(psi.spec, psi.array.astype(complex, copy=False).conj())
 
 
 def phi_map_adjoint(f: HardyChiFunction) -> FockVector:
     """Adjoint basis change; composing the two gives the identity."""
-    return FockVector(
-        f.spec, {k: complex(v).conjugate() for k, v in f.coeffs.items()}
-    )
+    return FockVector(f.spec, f.array.astype(complex, copy=False).conj())
 
 
 def f_transform(f: HardyChiFunction, pairing: str = pc.TAYLOR) -> HardyWFunction:
@@ -230,10 +229,9 @@ def norm_convergence_study(
 ) -> list[dict]:
     """Empirical squared norms of one basis function across sampling levels.
 
-    Each value is the pair integral of the key with itself.  Report-only: the
-    finite-level values decay with the level while the limiting weight is a
-    fixed positive rational; the table records both without asserting
-    agreement.
+    Each value is the pair integral of the key with itself, exactly
+    (m-1)! alpha! / (m-1+n)! at level m; ``limit_value`` is the weight
+    ``w_norm_sq``, that value at m equal to the diagram length.  Report-only.
     """
     limit = float(w_norm_sq(key.diagram))
     rows = []
@@ -275,6 +273,22 @@ def mc_pair_integral(
         for index, count in chunk_plan(samples, chunk)
     ]
     return _mc_estimate(_merge_stats(_map_chunks(_pair_chunk, tasks, workers))["pair"])
+
+
+def level_transform_exact(f: HardyChiFunction, x: EVector, level: int) -> complex:
+    """Exact level-m transform: the sum of c_alpha x^alpha (m-1)! / (m-1+|alpha|)!.
+
+    Built from integer factorials of m alone, apart from the weight code
+    that ``f_transform`` reads out.
+    """
+    if f.max_index() > level:
+        raise ValueError("function uses an index beyond the level")
+    total = 0j
+    for key, value in f.coeffs.items():
+        mono = math.prod(x.coords[i - 1] ** p for p, i in zip(key.diagram.parts, key.tuple.indices))
+        factor = Fraction(math.factorial(level - 1), math.factorial(level - 1 + key.degree()))
+        total += value * mono * float(factor)
+    return total
 
 
 def closed_form_level_one(key: BasisKey, x: EVector) -> complex:

@@ -31,6 +31,7 @@ from .fock_core import (
     TruncationSpec,
     exponential_vector,
     inner,
+    layout,
 )
 from .operators import GRAM_H, GRAM_W, adjoint, exp_creation
 
@@ -190,11 +191,9 @@ def random_polynomial(
 ) -> HardyWFunction:
     """Dense random polynomial with complex Gaussian coefficients."""
     cap = spec.max_degree if max_degree is None else max_degree
-    tab = pc.table(spec)
-    c = np.zeros(tab.size(), dtype=complex)
-    mask = tab.degree <= cap
-    count = int(mask.sum())
-    c[mask] = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
+    c = np.zeros(layout(spec).size, dtype=complex)
+    count = int((layout(spec).degree <= cap).sum())  # rows run by degree
+    c[:count] = scale * (rng.standard_normal(count) + 1j * rng.standard_normal(count))
     return HardyWFunction.from_coefficients(c, spec, pairing)
 
 

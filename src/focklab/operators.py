@@ -1,9 +1,10 @@
 """Creation/annihilation operators and their exponential groups.
 
-Operators are stored as dense blocks between degree subspaces, indexed by
-the canonical key order.  Adjoints are computed from the block matrices
-and the diagonal Gram of the chosen inner product, so the closed-form
-annihilation action on monomials stays available as an independent oracle.
+Operators are stored as dense blocks between degree subspaces; a block acts
+on the rows of one degree of the workspace layout.  Adjoints are computed
+from the block matrices and the diagonal Gram of the chosen inner product, so
+the closed-form annihilation action on monomials stays available as an
+independent oracle.
 The merge structure of a creation block (which target key each pair of a
 source key and an amplitude key lands on) is cached per (spec, source
 degree, order) and does not depend on the amplitude vector.
@@ -15,7 +16,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .fock_core import (
     GRAM_H,
     GRAM_W,
     TruncationSpec,
-    norm_sq,
+    layout,
     tensor_power,
 )
 from .partitions import BasisKey, degree_keys
@@ -37,22 +37,6 @@ VARIANTS = (MONOMIAL, W_ADJOINT)
 
 def degree_basis(spec: TruncationSpec, n: int) -> tuple[BasisKey, ...]:
     return degree_keys(n, spec.dim) if n <= spec.max_degree else ()
-
-
-@lru_cache(maxsize=None)
-def degree_index(spec: TruncationSpec, n: int) -> MappingProxyType:
-    """Read-only map from the degree-n keys to their positions in the basis."""
-    return MappingProxyType({k: i for i, k in enumerate(degree_basis(spec, n))})
-
-
-@lru_cache(maxsize=None)
-def gram_diagonal(kind: str, spec: TruncationSpec, n: int) -> np.ndarray:
-    """Gram weights of the degree-n basis as a read-only float array."""
-    out = np.array(
-        [float(norm_sq(kind, k.diagram)) for k in degree_basis(spec, n)], dtype=float
-    )
-    out.flags.writeable = False
-    return out
 
 
 @dataclass
@@ -70,39 +54,25 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, spec: TruncationSpec) -> "OperatorMatrix":
-        blocks = {}
-        for n in range(spec.max_degree + 1):
-            size = len(degree_basis(spec, n))
-            blocks[(n, n)] = np.eye(size, dtype=complex)
-        return cls(spec, blocks)
+        sizes = np.diff(layout(spec).offsets)
+        return cls(spec, {(n, n): np.eye(size, dtype=complex) for n, size in enumerate(sizes)})
 
     @classmethod
     def zero(cls, spec: TruncationSpec) -> "OperatorMatrix":
         return cls(spec, {})
 
     def apply(self, v: FockVector) -> FockVector:
+        """Each block maps the source-degree rows of v into the target-degree rows."""
         if v.spec != self.spec:
             raise ValueError("spec mismatch")
-        dense: dict[int, np.ndarray] = {}
-        for key, value in v.coeffs.items():
-            n = key.degree()
-            col = dense.get(n)
-            if col is None:
-                col = dense[n] = np.zeros(len(degree_basis(self.spec, n)), dtype=complex)
-            col[degree_index(self.spec, n)[key]] = complex(value)
-        out: dict[int, np.ndarray] = {}
+        rows = layout(self.spec)
+        x = v.array.astype(complex, copy=False)
+        live = v.degrees()
+        out = np.zeros(rows.size, dtype=complex)
         for (src, tgt), block in self.blocks.items():
-            col = dense.get(src)
-            if col is None:
-                continue
-            acc = out.setdefault(tgt, np.zeros(block.shape[0], dtype=complex))
-            acc += block @ col
-        coeffs = {}
-        for tgt, col in out.items():
-            for key, value in zip(degree_basis(self.spec, tgt), col):
-                if value != 0:
-                    coeffs[key] = coeffs.get(key, 0) + value
-        return FockVector(self.spec, coeffs)
+            if src in live:
+                out[rows.rows(tgt)] += block @ x[rows.rows(src)]
+        return FockVector(self.spec, out)
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """self after other."""
@@ -137,18 +107,9 @@ class OperatorMatrix:
 
     def max_block_difference(self, other: "OperatorMatrix") -> float:
         """Largest entry-wise deviation between two operators."""
-        keys = set(self.blocks) | set(other.blocks)
-        worst = 0.0
-        for k in keys:
-            a = self.blocks.get(k)
-            b = other.blocks.get(k)
-            if a is None:
-                worst = max(worst, float(np.abs(b).max(initial=0.0)))
-            elif b is None:
-                worst = max(worst, float(np.abs(a).max(initial=0.0)))
-            else:
-                worst = max(worst, float(np.abs(a - b).max(initial=0.0)))
-        return worst
+        gaps = (np.abs(self.blocks.get(k, 0) - other.blocks.get(k, 0)).max(initial=0.0)
+                for k in set(self.blocks) | set(other.blocks))
+        return float(max(gaps, default=0.0))
 
 
 @lru_cache(maxsize=None)
@@ -158,13 +119,13 @@ def _merge_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
     Entry [j, k] is the position in the degree-(src+m) basis of the key whose
     exponents are those of source key j plus those of degree-m key k.
     """
-    tgt_index = degree_index(spec, src + m)
+    index, first = layout(spec).index, layout(spec).rows(src + m).start
     amp_exps = [k.exponents(spec.dim) for k in degree_basis(spec, m)]
     rows = []
     for key in degree_basis(spec, src):
         exps = key.exponents(spec.dim)
-        rows.append([tgt_index[BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))]
-                     for aexp in amp_exps])
+        rows.append([index[BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))]
+                     - first for aexp in amp_exps])
     # distinct amplitude keys land on distinct targets of one source column,
     # so one scatter per block writes every entry at most once
     assert all(len(set(row)) == len(row) for row in rows)
@@ -192,10 +153,7 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
         return op
     # adding to zeros maps a -0.0 amplitude to +0.0, as accumulating into a
     # zero block does
-    amp = np.zeros(len(degree_basis(spec, m)), dtype=complex)
-    index = degree_index(spec, m)
-    for key, value in tensor_power(a, m, spec).coeffs.items():
-        amp[index[key]] += complex(value)
+    amp = 0.0 + tensor_power(a, m, spec).array[layout(spec).rows(m)].astype(complex, copy=False)
     for src in range(spec.max_degree - m + 1):
         table = _merge_table(spec, src, m)
         block = np.zeros((len(degree_basis(spec, src + m)), table.shape[0]), dtype=complex)
@@ -207,9 +165,10 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
 def adjoint(kind: str, T: OperatorMatrix) -> OperatorMatrix:
     """Unique operator S with <T psi | phi> = <psi | S phi> for the given Gram."""
     out = OperatorMatrix(T.spec, {}, T.dropped_overflow)
+    rows = layout(T.spec)
+    gram = rows.gram(kind)
     for (src, tgt), block in T.blocks.items():
-        g_src = gram_diagonal(kind, T.spec, src)
-        g_tgt = gram_diagonal(kind, T.spec, tgt)
+        g_src, g_tgt = gram[rows.rows(src)], gram[rows.rows(tgt)]
         out.blocks[(tgt, src)] = (block.conj().T * g_tgt[None, :]) / g_src[:, None]
     return out
 
@@ -275,13 +234,9 @@ def export_blocks(op: OperatorMatrix, path) -> None:
         fh.write(struct.pack("<III", 1, op.spec.max_degree, op.spec.dim))
         fh.write(struct.pack("<I", len(op.blocks)))
         for (src, tgt) in sorted(op.blocks):
-            block = np.ascontiguousarray(op.blocks[(src, tgt)], dtype=complex)
-            rows, cols = block.shape
-            fh.write(struct.pack("<IIII", src, tgt, rows, cols))
-            inter = np.empty((rows, cols, 2), dtype="<f8")
-            inter[..., 0] = block.real
-            inter[..., 1] = block.imag
-            fh.write(inter.tobytes())
+            block = op.blocks[(src, tgt)]
+            fh.write(struct.pack("<IIII", src, tgt, *block.shape))
+            fh.write(np.ascontiguousarray(block, dtype="<c16").tobytes())
 
 
 def load_blocks(path) -> OperatorMatrix:
@@ -315,9 +270,8 @@ def load_blocks(path) -> OperatorMatrix:
             shape = (math.comb(tgt + dim - 1, tgt), math.comb(src + dim - 1, src))
             if (rows, cols) != shape:
                 raise ValueError(f"block ({src}, {tgt}) has shape {(rows, cols)}, not {shape}")
-            raw = np.frombuffer(read(rows * cols * 16, f"block ({src}, {tgt})"), dtype="<f8")
-            raw = raw.reshape(rows, cols, 2)
-            blocks[(src, tgt)] = raw[..., 0] + 1j * raw[..., 1]
+            raw = np.frombuffer(read(rows * cols * 16, f"block ({src}, {tgt})"), dtype="<c16")
+            blocks[(src, tgt)] = raw.reshape(rows, cols).astype(complex)
         if fh.read(1):
             raise ValueError("trailing bytes after the last block")
     return OperatorMatrix(spec, blocks)

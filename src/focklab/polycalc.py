@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .fock_core import EVector, FockVector, TruncationSpec
-from .partitions import BasisKey, constant_c, enumerate_keys, w_norm_sq
+from .fock_core import GRAM_W, EVector, FockVector, TruncationSpec, layout
+from .partitions import constant_c
 
 TAYLOR = "taylor"
 PAIRING_W = "w"
@@ -32,22 +31,18 @@ PAIRINGS = (PAIRING_W, PAIRING_H, TAYLOR)
 
 
 class CoeffTable:
-    """Cached index tables for one truncation workspace.
+    """Flow tables and readout dressings for one truncation workspace.
 
-    The flow tables come from exponent vectors alone.  The keys and the
-    readout weights need one ``BasisKey`` per row and are built on first use,
-    so the deep workspaces that only run flows stay small.
+    Rows are those of ``fock_core.layout(spec)``.  The flow tables come from
+    exponent vectors alone; the dressings need the diagram of each row and are
+    built on first use, so the deep workspaces that only run flows stay small.
     """
 
     def __init__(self, spec: TruncationSpec):
         self.spec = spec
-        d = spec.dim
-        size = math.comb(spec.max_degree + d, d)
-        # the order of enumerate_keys: by degree, then by index multiset
-        counts = (combo.count(k) for n in range(spec.max_degree + 1)
-                  for combo in combinations_with_replacement(range(d), n) for k in range(d))
-        self.exponents = np.fromiter(counts, np.int64, size * d).reshape(size, d)
-        self.degree = self.exponents.sum(axis=1)
+        rows = layout(spec)
+        self.exponents, self.degree = rows.exponents, rows.degree
+        size, d = rows.size, spec.dim
         # neighbour tables: row of key +/- e_k, or ``size`` (the row of an
         # appended zero) when outside, so that the kernels are plain gathers.
         # Rows are looked up as opaque byte strings, sorted once.
@@ -68,26 +63,14 @@ class CoeffTable:
         return len(self.degree)
 
     @cached_property
-    def keys(self) -> tuple[BasisKey, ...]:
-        return enumerate_keys(self.spec.max_degree, self.spec.dim)
-
-    @cached_property
-    def index(self) -> dict:
-        return {k: i for i, k in enumerate(self.keys)}
-
-    @cached_property
     def dress(self) -> dict:
         factorials = np.array([math.factorial(int(n)) for n in self.degree], dtype=float)
-        cvals = np.array([float(constant_c(k.diagram)) for k in self.keys])
+        cvals = np.array([float(constant_c(d)) for d in layout(self.spec).diagrams])
         return {
             TAYLOR: np.ones(self.size()),
             PAIRING_H: 1.0 / factorials,
             PAIRING_W: cvals / factorials,
         }
-
-    @cached_property
-    def gram_w(self) -> np.ndarray:
-        return np.array([float(w_norm_sq(k.diagram)) for k in self.keys], dtype=float)
 
 
 @lru_cache(maxsize=64)
@@ -97,28 +80,17 @@ def table(spec: TruncationSpec) -> CoeffTable:
 
 def psi_to_c(v: FockVector, pairing: str) -> np.ndarray:
     """Monomial coefficients of the function read out of a Fock vector."""
-    tab = table(v.spec)
-    c = np.zeros(tab.size(), dtype=complex)
-    for key, value in v.coeffs.items():
-        c[tab.index[key]] = complex(value).conjugate()
-    return c * tab.dress[pairing]
+    return v.array.astype(complex, copy=False).conj() * table(v.spec).dress[pairing]
 
 
 def c_to_psi(c: np.ndarray, pairing: str, spec: TruncationSpec) -> FockVector:
-    tab = table(spec)
-    psi = (c / tab.dress[pairing]).conjugate()
-    coeffs = {}
-    for i, value in enumerate(psi):
-        if value != 0:
-            coeffs[tab.keys[i]] = value
-    return FockVector(spec, coeffs)
+    return FockVector(spec, (c / table(spec).dress[pairing]).conjugate())
 
 
 def w_norm_of_c(c: np.ndarray, pairing: str, spec: TruncationSpec) -> float:
     """Weighted norm of the Fock vector represented by the coefficients."""
-    tab = table(spec)
-    psi = c / tab.dress[pairing]
-    return float(np.sqrt(np.sum(np.abs(psi) ** 2 * tab.gram_w)))
+    psi = c / table(spec).dress[pairing]
+    return float(np.sqrt(np.sum(np.abs(psi) ** 2 * layout(spec).gram(GRAM_W))))
 
 
 # -- generators --------------------------------------------------------------
@@ -196,7 +168,7 @@ def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec):
 
 def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:
     """Value of the polynomial with monomial coefficients c at the point x."""
-    monomials = np.prod(np.asarray(x.coords, dtype=complex) ** table(spec).exponents, axis=1)
+    monomials = np.prod(np.asarray(x.coords, dtype=complex) ** layout(spec).exponents, axis=1)
     return complex(c @ monomials)
 
 
@@ -207,7 +179,7 @@ def lift(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndarray:
     """Re-index coefficients into a larger workspace of the same dimension."""
     if src.dim != dst.dim or dst.max_degree < src.max_degree:
         raise ValueError("target workspace must extend the source")
-    out = np.zeros((table(dst).size(),) + c.shape[1:], dtype=complex)
+    out = np.zeros((layout(dst).size,) + c.shape[1:], dtype=complex)
     out[: len(c)] = c
     return out
 
@@ -216,7 +188,7 @@ def restrict(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndar
     """Project coefficients onto a smaller workspace of the same dimension."""
     if src.dim != dst.dim or dst.max_degree > src.max_degree:
         raise ValueError("target workspace must be contained in the source")
-    return c[: table(dst).size()].astype(complex)
+    return c[: layout(dst).size].astype(complex)
 
 
 def _wide_flow(c, spec: TruncationSpec, margin: int, steps):

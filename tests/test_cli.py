@@ -22,14 +22,12 @@ SPEC = TruncationSpec(4, 2)
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "cfg"
     path.write_text(
-        "max_degree = 5\n"
-        "dim = 3  # spatial coordinates\n"
-        "seed = 7\n"
+        "seed = 7  # the run's seed\n"
         "levels = 1,2\n"
         "tol.gw = 1e-7\n"
     )
     cfg = cli.load_config(str(path))
-    assert cfg.max_degree == 5 and cfg.dim == 3 and cfg.seed == 7
+    assert cfg.seed == 7
     assert cfg.levels == (1, 2)
     assert cfg.tol("gw", 0.0) == 1e-7
     assert cfg.tol("other", 0.25) == 0.25
@@ -273,3 +271,123 @@ def test_haar_and_ftransform_share_one_pool(fresh_pool, monkeypatch):
     cli.run_suite("haar", cfg)
     cli.run_suite("ftransform", cfg)
     assert sizes == [3]
+
+
+# -- malformed run input, removed knobs, config round trip -------------------
+
+def _one_error_line(capsys, argv) -> str:
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("focklab: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_config_with_a_non_integer_value_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "cfg"
+    path.write_text("seed = x\n")
+    err = _one_error_line(capsys, ["run", "weights", "--config", str(path)])
+    assert "'seed'" in err
+
+
+@pytest.mark.parametrize("command", ["run weights", "heisenberg"])
+def test_missing_config_file_is_one_error_line(tmp_path, capsys, command):
+    missing = str(tmp_path / "absent.cfg")
+    err = _one_error_line(capsys, [*command.split(), "--config", missing])
+    assert missing in err
+
+
+def test_malformed_tol_is_one_error_line(capsys):
+    err = _one_error_line(capsys, ["run", "weights", "--tol", "foo"])
+    assert "--tol" in err and "name=value" in err
+
+
+def test_malformed_levels_is_one_error_line(capsys):
+    assert "--levels" in _one_error_line(capsys, ["run", "weights", "--levels", "a"])
+
+
+@pytest.mark.parametrize("line", ["max_degree = 5", "dim = 3"])
+def test_workspace_config_keys_are_rejected(tmp_path, line):
+    path = tmp_path / "cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError, match="unknown config key"):
+        cli.load_config(str(path))
+
+
+def test_trunc_knob_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["run", "weights", "--trunc", "5,3", "--out", str(tmp_path)])
+    assert "--trunc" in capsys.readouterr().err
+    assert {"max_degree", "dim"}.isdisjoint(cli.RunConfig().report_fields())
+
+
+_NAME = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    samples=st.integers(1, 10**9),
+    margin=st.integers(0, 64),
+    workers=st.integers(1, 64),
+    levels=st.lists(st.integers(1, 64), min_size=1, max_size=6).map(tuple),
+    variant=st.sampled_from(cli.ops.VARIANTS),
+    out=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
+    tols=st.dictionaries(_NAME, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+)
+def test_config_file_round_trip(tmp_path_factory, seed, samples, margin, workers, levels,
+                                variant, out, tols):
+    cfg = cli.RunConfig(seed=seed, samples=samples, levels=levels, variant=variant,
+                        margin=margin, workers=workers, out=out,
+                        tolerances=tuple(sorted(tols.items())))
+    lines = [f"seed = {seed}", f"samples = {samples}", f"margin = {margin}",
+             f"workers = {workers}", "levels = " + ",".join(map(str, levels)),
+             f"variant = {variant}", f"out = {out}"]
+    lines += [f"tol.{name} = {value!r}" for name, value in tols.items()]
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.load_config(str(path)) == cfg
+
+
+# -- ftransform: every level against its own exact value ----------------------
+
+X_U1 = 0.6 - 0.35j
+
+
+def _u1_ftransform(tmp_path, levels="1,2,4,8", samples="5000"):
+    chi = HardyChiFunction(SPEC, {BasisKey.make((1,), (1,)): 1.0})
+    fn = tmp_path / "u1.json"
+    fn.write_text(json.dumps(cli.chi_to_payload(chi)))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[[X_U1.real, X_U1.imag], [0.0, 0.0]]]}))
+    out = tmp_path / "ft.json"
+    rc = cli.main(["ftransform", "--function", str(fn), "--points", str(pts), "--levels", levels,
+                   "--samples", samples, "--seed", "3", "--out", str(out)])
+    return rc, json.loads(out.read_text())["records"][0]
+
+
+def test_ftransform_cli_compares_each_level_with_its_exact_value(tmp_path):
+    rc, record = _u1_ftransform(tmp_path)
+    assert rc == 0
+    # the w-readout value is the transform at the key's own level, here 1
+    assert record["point_value_exact"] == [pytest.approx(0.6), pytest.approx(-0.35)]
+    assert [entry["level"] for entry in record["levels"]] == [1, 2, 4, 8]
+    for entry in record["levels"]:
+        # u_1 at level m: x_1 (m-1)!/m! = x_1/m
+        m = entry["level"]
+        assert entry["exact_level_value"] == [pytest.approx(0.6 / m), pytest.approx(-0.35 / m)]
+        assert abs(entry["z_vs_exact"]) <= 4
+
+
+def test_ftransform_cli_exits_1_when_a_level_misses(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.hc, "level_transform_exact", lambda f, x, m: 1.0 + 0j)
+    rc, record = _u1_ftransform(tmp_path, levels="2", samples="2000")
+    assert rc == 1 and abs(record["levels"][0]["z_vs_exact"]) > 4
+
+
+def test_ftransform_cli_rejects_malformed_levels(tmp_path, capsys):
+    chi = HardyChiFunction(SPEC, {BasisKey.vacuum(): 1.0})
+    fn = tmp_path / "chi.json"
+    fn.write_text(json.dumps(cli.chi_to_payload(chi)))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[[0.5, 0.0], [0.0, 0.0]]]}))
+    argv = ["ftransform", "--function", str(fn), "--points", str(pts), "--levels", "1,x"]
+    assert "--levels" in _one_error_line(capsys, argv)

@@ -19,12 +19,13 @@ from focklab.fock_core import (
     from_json,
     hs_polynomial_eval,
     inner,
+    layout,
     polarization,
     symmetric_product,
     tensor_power,
     to_json,
 )
-from focklab.partitions import BasisKey, YoungDiagram
+from focklab.partitions import BasisKey, YoungDiagram, h_norm_sq, w_norm_sq
 
 SPEC = TruncationSpec(6, 3)
 
@@ -261,3 +262,41 @@ def test_serialization_round_trip_complex(coeffs):
     again = from_json(to_json(v))
     assert again.spec == v.spec
     assert {k: complex(c) for k, c in again.coeffs.items()} == v.coeffs
+
+
+# -- dense rows behind the key-level surface ---------------------------------
+
+@given(st.dictionaries(
+    _EXPONENTS.map(tuple),
+    st.complex_numbers(allow_nan=False, allow_infinity=False) | st.just(0j),
+    max_size=8,
+))
+def test_coeffs_hold_exactly_the_nonzero_rows(coeffs):
+    v = FockVector(_WIDE, {BasisKey.from_exponents(e): c for e, c in coeffs.items()})
+    assert FockVector(_WIDE, v.coeffs) == v
+    rows = layout(_WIDE)
+    assert list(v.coeffs) == [rows.keys[i] for i in np.flatnonzero(v.array)]
+    assert v.coeffs == {BasisKey.from_exponents(e): c for e, c in coeffs.items() if c != 0}
+    with pytest.raises(TypeError):
+        v.coeffs[BasisKey.vacuum()] = 1.0
+
+
+_RATIONAL = st.dictionaries(_EXPONENTS.map(tuple), st.fractions(max_denominator=1000),
+                            min_size=1, max_size=6)
+
+
+def _rational_vector(coeffs):
+    return FockVector(_WIDE, {BasisKey.from_exponents(e): c for e, c in coeffs.items()})
+
+
+@given(_RATIONAL, _RATIONAL, st.fractions(max_denominator=1000))
+def test_rational_vectors_stay_exact(a, b, s):
+    u, v = _rational_vector(a), _rational_vector(b)
+    for w in (u + v, u - v, u.scale(s), from_json(to_json(u))):
+        assert all(isinstance(c, Fraction) for c in w.coeffs.values())
+    assert (u + v) - v == u and from_json(to_json(u)) == u
+    assert u.scale(s).coeffs == {k: s * c for k, c in u.coeffs.items() if s * c}
+    for kind, weight in ((GRAM_W, w_norm_sq), (GRAM_H, h_norm_sq)):
+        value = inner(kind, u, v)
+        assert isinstance(value, Fraction)
+        assert value == sum(c * v.coeffs.get(k, 0) * weight(k.diagram) for k, c in u.coeffs.items())

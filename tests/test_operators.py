@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from focklab.fock_core import (
     EVector,
@@ -12,6 +13,7 @@ from focklab.fock_core import (
     GRAM_W,
     TruncationSpec,
     exponential_vector,
+    layout,
     symmetric_product,
     tensor_power,
 )
@@ -23,11 +25,9 @@ from focklab.operators import (
     annihilation_monomial,
     creation,
     degree_basis,
-    degree_index,
     exp_annihilation,
     exp_creation,
     export_blocks,
-    gram_diagonal,
     load_blocks,
 )
 from focklab.partitions import BasisKey
@@ -105,14 +105,15 @@ def test_creation_equals_pairwise_reference_bitwise(spec):
 
 
 def test_cached_structure_is_read_only():
-    index = degree_index(SPEC, 2)
+    rows = layout(SPEC)
     with pytest.raises(TypeError):
-        index[BasisKey.vacuum()] = 0
-    gram = gram_diagonal(GRAM_W, SPEC, 2)
+        rows.index[BasisKey.vacuum()] = 0
+    gram = rows.gram(GRAM_W)[rows.rows(2)]
     with pytest.raises(ValueError):
         gram[0] = 1.0
-    assert degree_index(SPEC, 2) is index and gram_diagonal(GRAM_W, SPEC, 2) is gram
+    assert layout(SPEC) is rows and rows.gram(GRAM_W) is rows.gram(GRAM_W)
     assert np.array_equal(gram, [1.0, 1 / 6, 1 / 6, 1.0, 1 / 6, 1.0])
+    assert [k.degree() for k in rows.keys[rows.rows(2)]] == [2] * 6
 
 
 def test_creation_matches_symmetric_product():
@@ -306,3 +307,32 @@ def test_load_blocks_rejects_degree_or_count_outside_spec(tmp_path):
 def test_load_blocks_rejects_block_shape(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         _corrupt_export(tmp_path, _set_u32(28, 2))
+
+
+_ENTRY = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [complex(-0.0, 1.0), complex(-0.0, -0.0), complex(float("nan"), -0.0)])
+
+
+@st.composite
+def _operators(draw):
+    spec = TruncationSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    sizes = np.diff(layout(spec).offsets).tolist()
+    pairs = st.tuples(*[st.integers(0, spec.max_degree)] * 2)
+    blocks = {}
+    for src, tgt in draw(st.lists(pairs, max_size=4, unique=True)):
+        shape = (sizes[tgt], sizes[src])
+        entries = draw(st.lists(_ENTRY, min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+        blocks[(src, tgt)] = np.array(entries, dtype=complex).reshape(shape)
+    return OperatorMatrix(spec, blocks)
+
+
+@given(_operators())
+def test_export_load_round_trip_is_bitwise(tmp_path_factory, op):
+    path = tmp_path_factory.mktemp("blocks") / "op.bin"
+    export_blocks(op, path)
+    back = load_blocks(path)
+    assert back.spec == op.spec and sorted(back.blocks) == sorted(op.blocks)
+    for key, block in op.blocks.items():
+        assert back.blocks[key].shape == block.shape
+        assert back.blocks[key].tobytes() == block.tobytes()

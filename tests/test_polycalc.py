@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focklab import polycalc as pc
-from focklab.fock_core import EVector, TruncationSpec
+from focklab.fock_core import EVector, TruncationSpec, layout
 from focklab.partitions import BasisKey
 
 SPECS = (TruncationSpec(6, 3), TruncationSpec(10, 4))
@@ -14,21 +14,21 @@ SPECS = (TruncationSpec(6, 3), TruncationSpec(10, 4))
 
 def _neighbours(spec):
     """Index of key +/- e_k, or -1 outside, built from the key enumeration alone."""
-    tab = pc.table(spec)
-    size, d = tab.size(), spec.dim
+    rows = layout(spec)
+    size, d = rows.size, spec.dim
     up = np.full((size, d), -1, dtype=np.int64)
     down = np.full((size, d), -1, dtype=np.int64)
-    for i, key in enumerate(tab.keys):
+    for i, key in enumerate(rows.keys):
         exps = np.array(key.exponents(d))
         for k in range(d):
             if exps.sum() < spec.max_degree:
                 bumped = exps.copy()
                 bumped[k] += 1
-                up[i, k] = tab.index[BasisKey.from_exponents(bumped)]
+                up[i, k] = rows.index[BasisKey.from_exponents(bumped)]
             if exps[k] > 0:
                 lowered = exps.copy()
                 lowered[k] -= 1
-                down[i, k] = tab.index[BasisKey.from_exponents(lowered)]
+                down[i, k] = rows.index[BasisKey.from_exponents(lowered)]
     return up, down
 
 
@@ -174,8 +174,8 @@ def test_lift_then_restrict_is_identity(spec):
 
 @pytest.mark.parametrize("spec", SPECS)
 def test_flow_tables_follow_the_key_order(spec):
-    tab = pc.table(spec)
-    assert tab.exponents.tolist() == [list(key.exponents(spec.dim)) for key in tab.keys]
+    rows = layout(spec)
+    assert pc.table(spec).exponents.tolist() == [list(key.exponents(spec.dim)) for key in rows.keys]
     # lift and restrict rely on the keys of a workspace leading a deeper one
-    wide = pc.table(TruncationSpec(spec.max_degree + 3, spec.dim))
-    assert wide.keys[: tab.size()] == tab.keys
+    wide = layout(TruncationSpec(spec.max_degree + 3, spec.dim))
+    assert wide.keys[: rows.size] == rows.keys
