@@ -1249,16 +1249,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _require_positive(counts: dict) -> None:
+    """Reject a count below 1 as an input fault naming its source."""
+    for source, value in counts.items():
+        if value < 1:
+            raise InputError(f"{source}: must be >= 1, got {value}")
+
+
 def cmd_haar_test(args) -> int:
+    _require_positive({"--m": args.m, "--samples": args.samples, "--workers": args.workers})
     report = uh.haar_moment_report(args.m, args.samples, args.seed, args.workers)
     report["pushforward"] = uh.pushforward_consistency(
         args.m, args.samples, args.seed, args.workers
     )
     write_json(report, args.out)
-    ok = all(abs(m["z"]) <= 4 for m in report["moments"]) and all(
-        abs(m["z"]) <= 4 for m in report["pushforward"]["moments"]
-    )
-    return 0 if ok else 1
+    moments = report["moments"] + report["pushforward"]["moments"]
+    return 0 if all(abs(m["z"]) <= 4 for m in moments) else 1
 
 
 def cmd_ftransform(args) -> int:
@@ -1270,6 +1276,11 @@ def cmd_ftransform(args) -> int:
     f = _read_payload(args.function, chi_from_payload)
     points = _read_payload(args.points, _parse_points, f.spec.dim)
     levels = _parse_input("--levels", _parse_levels, args.levels)
+    _require_positive({"--samples": args.samples, "--workers": args.workers})
+    if args.norm_study:
+        key = _parse_input("--norm-study-key", pt.BasisKey.from_label, args.norm_study_key)
+        if key.max_index() > min(levels):
+            raise InputError(f"--norm-study-key: {key.label()} needs level >= {key.max_index()}")
     records = []
     worst = 0.0
     for x in points:
@@ -1294,7 +1305,6 @@ def cmd_ftransform(args) -> int:
     payload = {"samples": args.samples, "seed": args.seed, "records": records}
     write_json(payload, args.out)
     if args.norm_study:
-        key = pt.BasisKey.from_label(args.norm_study_key)
         rows = hc.norm_convergence_study(
             key, levels, args.samples, args.seed, workers=args.workers
         )
@@ -1309,11 +1319,19 @@ def _parse_direction(text: str, dim: int) -> fc.EVector:
     return fc.EVector(tuple(parts))
 
 
+def _parse_r_schedule(text: str) -> list[float]:
+    schedule = [float(v) for v in text.split(",")]
+    if not all(0 < r < math.inf for r in schedule):
+        raise ValueError(f"times must be positive and finite, got {text!r}")
+    return schedule
+
+
 def cmd_gw(args) -> int:
     f = _read_payload(args.function, function_from_payload)
     a = _parse_input("--direction", _parse_direction, args.direction, f.spec.dim)
+    schedule = _parse_input("--r-schedule", _parse_r_schedule, args.r_schedule)
     rows = []
-    for r in (float(v) for v in args.r_schedule.split(",")):
+    for r in schedule:
         quad = sg.gw_mult(f, a, r, args.nodes)
         oracle = sg.gw_mult_oracle(f, a, r)
         shift_exact = sg.gw_shift(f, a, r)
@@ -1349,6 +1367,7 @@ def cmd_run(args) -> int:
         tols.update(_parse_input("--tol", _parse_tol, item) for item in args.tol)
         overrides["tolerances"] = tuple(sorted(tols.items()))
     cfg = replace(cfg, **overrides)
+    _require_positive({"samples": cfg.samples, "workers": cfg.workers})
 
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     out_dir = Path(cfg.out)

@@ -25,8 +25,7 @@ from .fock_core import norm_sq as gram_norm_sq
 from .hardy_w import HardyWFunction
 from .operators import W_ADJOINT, adjoint, creation, exp_annihilation, exp_creation
 from .partitions import BasisKey, w_norm_sq
-from .unitary_haar import DEFAULT_CHUNK, chunk_plan, haar_batch, substream
-from .unitary_haar import _chunk_stats, _map_chunks, _mean_stderr, _merge_stats, _z_score
+from .unitary_haar import estimate, haar_batch, z_score
 
 
 class HardyChiFunction(FockVector):
@@ -141,27 +140,22 @@ class MCEstimate:
     samples: int
 
     def z_against(self, target: complex) -> float:
-        return _z_score(self.estimate, complex(target), self.stderr)
+        return z_score(self.estimate, complex(target), self.stderr)
 
 
-def _mc_estimate(stats: tuple) -> MCEstimate:
-    mean, stderr = _mean_stderr(stats)
-    return MCEstimate(complex(mean), stderr, stats[0])
-
-
-def _mc_chunk(args):
-    m, seed, chunk_index, count, items, x_coords, degrees = args
-    rows = haar_batch(m, count, substream(seed, chunk_index))[:, 0, :]
+def _transform_kernel(rng, count, level, items, x_coords, degrees):
+    """Values of exp(conj(phi_x)) f under "full" and of each Taylor term under its degree."""
+    rows = haar_batch(level, count, rng)[:, 0, :]
     xbar = np.array([complex(v).conjugate() for v in x_coords])
     width = min(rows.shape[1], xbar.size)
     phi_x = rows[:, :width] @ xbar[:width]
     weight = np.exp(phi_x.conj())
     f_vals = _eval_keys_on_rows(rows, items)
-    stats = {"full": _chunk_stats(weight * f_vals)}
+    values = {"full": weight * f_vals}
     for n in degrees:
         part = [(k, c) for k, c in items if k.degree() == n]
-        stats[f"deg{n}"] = _chunk_stats((phi_x.conj() ** n) * _eval_keys_on_rows(rows, part))
-    return stats
+        values[n] = (phi_x.conj() ** n) * _eval_keys_on_rows(rows, part)
+    return values, None
 
 
 @dataclass
@@ -193,7 +187,6 @@ def mc_f_transform(
     level: int,
     samples: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> TransformEstimate:
     """Monte Carlo estimate of the transform integral at level ``level``.
@@ -208,23 +201,19 @@ def mc_f_transform(
         raise ValueError("evaluation point uses an index beyond the sampling level")
     items = tuple(sorted(f.coeffs.items(), key=lambda kv: kv[0].label()))
     degrees = tuple(sorted(f.degrees()))
-    plan = chunk_plan(samples, chunk)
-    tasks = [
-        (level, seed, index, count, items, tuple(x.coords), degrees)
-        for index, count in plan
-    ]
-    totals = _merge_stats(_map_chunks(_mc_chunk, tasks, workers))
-    full = _mc_estimate(totals["full"])
-    taylor = {n: _mc_estimate(totals[f"deg{n}"]) for n in degrees}
-    return TransformEstimate(full.estimate, full.stderr, full.samples, level, taylor)
+    params = (level, items, tuple(x.coords), degrees)
+    means, _ = estimate(_transform_kernel, params, samples, seed, workers)
+    terms = {name: MCEstimate(complex(mean), stderr, samples)
+             for name, (mean, stderr) in means.items()}
+    full = terms.pop("full")
+    return TransformEstimate(full.estimate, full.stderr, samples, level, terms)
 
 
 def norm_convergence_study(
     key: BasisKey,
-    levels,
+    levels: tuple[int, ...],
     samples: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> list[dict]:
     """Empirical squared norms of one basis function across sampling levels.
@@ -232,13 +221,14 @@ def norm_convergence_study(
     Each value is the pair integral of the key with itself, exactly
     (m-1)! alpha! / (m-1+n)! at level m; ``limit_value`` is the weight
     ``w_norm_sq``, that value at m equal to the diagram length.  Report-only.
+    Every level is checked before any is sampled.
     """
+    if any(key.max_index() > m for m in levels):
+        raise ValueError(f"key {key.label()} needs level >= {key.max_index()}")
     limit = float(w_norm_sq(key.diagram))
     rows = []
     for m in levels:
-        if key.max_index() > m:
-            raise ValueError(f"key {key.label()} needs level >= {key.max_index()}")
-        est = mc_pair_integral(key, key, m, samples, seed, chunk, workers)
+        est = mc_pair_integral(key, key, m, samples, seed, workers)
         rows.append(
             {
                 "level": int(m),
@@ -251,11 +241,11 @@ def norm_convergence_study(
     return rows
 
 
-def _pair_chunk(args):
-    m, seed, chunk_index, count, items1, items2 = args
-    rows = haar_batch(m, count, substream(seed, chunk_index))[:, 0, :]
-    vals = _eval_keys_on_rows(rows, items1) * _eval_keys_on_rows(rows, items2).conj()
-    return {"pair": _chunk_stats(vals)}
+def _pair_kernel(rng, count, level, key1, key2):
+    rows = haar_batch(level, count, rng)[:, 0, :]
+    left = _eval_keys_on_rows(rows, ((key1, 1.0),))
+    right = _eval_keys_on_rows(rows, ((key2, 1.0),))
+    return {"pair": left * right.conj()}, None
 
 
 def mc_pair_integral(
@@ -264,15 +254,12 @@ def mc_pair_integral(
     level: int,
     samples: int,
     seed: int,
-    chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> MCEstimate:
     """Haar integral of one basis function against the conjugate of another."""
-    tasks = [
-        (level, seed, index, count, ((key1, 1.0),), ((key2, 1.0),))
-        for index, count in chunk_plan(samples, chunk)
-    ]
-    return _mc_estimate(_merge_stats(_map_chunks(_pair_chunk, tasks, workers))["pair"])
+    means, _ = estimate(_pair_kernel, (level, key1, key2), samples, seed, workers)
+    mean, stderr = means["pair"]
+    return MCEstimate(complex(mean), stderr, samples)
 
 
 def level_transform_exact(f: HardyChiFunction, x: EVector, level: int) -> complex:

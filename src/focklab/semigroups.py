@@ -25,28 +25,12 @@ GW_MULT = "mult"
 DEFAULT_NODES = 64
 
 
-def gaussian_kernel(r: float, tau: float) -> float:
-    """Density (4 pi r)^(-1/2) exp(-tau^2 / 4r); integrates to 1, variance 2r."""
-    return math.exp(-(tau**2) / (4.0 * r)) / math.sqrt(4.0 * math.pi * r)
-
-
 def gaussian_moment(r: float, k: int) -> float:
     """Even kernel moment: integral of tau^(2k) equals 2 (2k-1)!/(k-1)! r^k."""
     if k < 1:
         raise ValueError("moment order must be >= 1")
     factor = Fraction(2 * math.factorial(2 * k - 1), math.factorial(k - 1))
     return float(factor) * r**k
-
-
-def gaussian_raw_moment(r: float, power: int) -> float:
-    """Kernel moment of any order; odd powers vanish by symmetry."""
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    if power == 0:
-        return 1.0
-    if power % 2:
-        return 0.0
-    return gaussian_moment(r, power // 2)
 
 
 @lru_cache(maxsize=None)

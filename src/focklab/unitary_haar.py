@@ -1,9 +1,9 @@
 """Haar-distributed unitaries, Livšic projections, and virtual unitaries.
 
 Sampling uses the QR construction with the diagonal phase correction
-R_jj/|R_jj|, which makes the distribution exactly Haar.  Monte Carlo runs
-are split into fixed-size chunks; each chunk draws its own generator from
-``SeedSequence(seed, spawn_key=(chunk,))`` and partial sums are combined in
+R_jj/|R_jj|, which makes the distribution exactly Haar.  Every Monte Carlo
+estimate runs through ``estimate``: chunk i of the budget draws from
+``SeedSequence(seed, spawn_key=(i,))`` and the chunks' statistics merge in
 chunk order, so results are bitwise reproducible for any worker count.
 """
 
@@ -47,15 +47,8 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
 
 def chunk_plan(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
     """Fixed partition of a sample budget into (chunk_index, count) pieces."""
-    plan = []
-    index = 0
-    remaining = samples
-    while remaining > 0:
-        count = min(chunk, remaining)
-        plan.append((index, count))
-        index += 1
-        remaining -= count
-    return plan
+    starts = range(0, samples, chunk)
+    return [(index, min(chunk, samples - start)) for index, start in enumerate(starts)]
 
 
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,14 +242,32 @@ def _merge_stats(chunks: list[dict]) -> dict[str, tuple]:
     return total
 
 
-def _mean_stderr(stats: tuple) -> tuple:
-    n, mean, m2 = stats
-    return mean, math.sqrt(m2 / n / n)
+def _run_chunk(task) -> tuple[dict, object]:
+    kernel, params, seed, chunk_index, count = task
+    values, extra = kernel(substream(seed, chunk_index), count, *params)
+    return {name: _chunk_stats(vals) for name, vals in values.items()}, extra
 
 
-def _z_score(estimate, target, stderr: float) -> float:
+def estimate(kernel, params: tuple, samples: int, seed: int, workers: int = 1) -> tuple[dict, list]:
+    """Means and standard errors of a kernel's values, merged over chunks.
+
+    ``kernel(rng, count, *params)`` draws ``count`` samples from ``rng`` and
+    returns ``({name: values}, extra)``; pool workers need it at module level.
+    Chunk i of ``chunk_plan(samples)`` draws from ``substream(seed, i)``.
+    Returns ``({name: (mean, stderr)}, [extra of each chunk])``.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    tasks = [(kernel, params, seed, index, count) for index, count in chunk_plan(samples)]
+    results = _map_chunks(_run_chunk, tasks, workers)
+    totals = _merge_stats([stats for stats, _ in results])
+    means = {name: (mean, math.sqrt(m2 / n / n)) for name, (n, mean, m2) in totals.items()}
+    return means, [extra for _, extra in results]
+
+
+def z_score(value, target, stderr: float) -> float:
     """Gap over standard error: signed for real estimates, |gap| for complex."""
-    gap = estimate - target
+    gap = value - target
     if isinstance(gap, complex):
         gap = abs(gap)
     if abs(gap) <= EXACT_GAP:
@@ -283,31 +294,29 @@ def exact_moment(name: str, m: int) -> float:
     raise ValueError(f"unknown moment {name!r}")
 
 
-def _moment_stats(batch: np.ndarray) -> dict[str, tuple]:
+def _moment_values(batch: np.ndarray) -> dict[str, np.ndarray]:
     u11 = batch[:, 0, 0]
     trace = np.einsum("...ii->...", batch)
-    values = {
+    return {
         "abs_u11_sq": np.abs(u11) ** 2,
         "abs_u11_quad": np.abs(u11) ** 4,
         "abs_trace_sq": np.abs(trace) ** 2,
         "re_u11": u11.real,
         "im_u11": u11.imag,
     }
-    return {name: _chunk_stats(vals) for name, vals in values.items()}
 
 
-def _haar_chunk(args):
-    m, seed, chunk_index, count, transform = args
-    rng = substream(seed, chunk_index)
+def _haar_chunk(rng: np.random.Generator, count: int, m: int, transform: str):
+    """Moment values of ``count`` samples; the extra is (branch events, worst defect)."""
     if transform == "project":
         batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
-        return _moment_stats(batch), branches, unitarity_defect(batch)
+        return _moment_values(batch), (branches, unitarity_defect(batch))
     batch = haar_batch(m, count, rng)
     if transform == "left":
         batch = _fourier_unitary(m) @ batch
     elif transform == "right":
         batch = batch @ _fourier_unitary(m)
-    return _moment_stats(batch), 0, 0.0
+    return _moment_values(batch), (0, 0.0)
 
 
 @dataclass
@@ -318,7 +327,7 @@ class MomentEstimate:
     samples: int
 
     def z_against(self, target: float) -> float:
-        return _z_score(self.mean, target, self.stderr)
+        return z_score(self.mean, target, self.stderr)
 
 
 def _moment_rows(estimates: dict[str, MomentEstimate], m: int) -> list[dict]:
@@ -342,7 +351,6 @@ def sample_moments(
     samples: int,
     seed: int,
     transform: str = "direct",
-    chunk: int = DEFAULT_CHUNK,
     workers: int = 1,
 ) -> tuple[dict[str, MomentEstimate], dict]:
     """Moment estimates of Haar samples (or their Livšic projections).
@@ -352,15 +360,14 @@ def sample_moments(
     that side.  Returns the estimates and a small diagnostics record (branch
     events and the worst unitarity defect seen among projected matrices).
     """
-    tasks = [(m, seed, index, count, transform) for index, count in chunk_plan(samples, chunk)]
-    results = _map_chunks(_haar_chunk, tasks, workers)
-    estimates = {}
-    for name, stats in _merge_stats([r[0] for r in results]).items():
-        mean, stderr = _mean_stderr(stats)
-        estimates[name] = MomentEstimate(name, float(mean), stderr, samples)
+    means, extras = estimate(_haar_chunk, (m, transform), samples, seed, workers)
+    estimates = {
+        name: MomentEstimate(name, float(mean), stderr, samples)
+        for name, (mean, stderr) in means.items()
+    }
     diagnostics = {
-        "branch_events": sum(r[1] for r in results),
-        "worst_defect": max(r[2] for r in results),
+        "branch_events": sum(branches for branches, _ in extras),
+        "worst_defect": max(defect for _, defect in extras),
     }
     return estimates, diagnostics
 
@@ -408,7 +415,7 @@ def pushforward_consistency(
                 "projected": p.mean,
                 "direct": q.mean,
                 "stderr": spread,
-                "z": _z_score(p.mean, q.mean, spread),
+                "z": z_score(p.mean, q.mean, spread),
             }
         )
     return {"m": m, "samples": samples, "seed": seed, "moments": moments, **diagnostics}

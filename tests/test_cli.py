@@ -391,3 +391,43 @@ def test_ftransform_cli_rejects_malformed_levels(tmp_path, capsys):
     pts.write_text(json.dumps({"points": [[[0.5, 0.0], [0.0, 0.0]]]}))
     argv = ["ftransform", "--function", str(fn), "--points", str(pts), "--levels", "1,x"]
     assert "--levels" in _one_error_line(capsys, argv)
+
+
+# -- count and schedule arguments are checked before any work ------------------
+
+@pytest.mark.parametrize("schedule", ["x", "0", "0.5,-1", "nan"])
+def test_gw_cli_rejects_malformed_r_schedule(tmp_path, capsys, schedule):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))))
+    argv = ["gw", "--function", str(fn), "--direction", "1.0,0.0", "--r-schedule", schedule]
+    assert _one_error_line(capsys, argv).startswith("focklab: error: --r-schedule: ")
+
+
+@pytest.mark.parametrize("flag", ["--m", "--samples", "--workers"])
+def test_haar_test_cli_rejects_counts_below_one(capsys, monkeypatch, flag):
+    monkeypatch.setattr(cli.uh, "haar_moment_report", None)  # never reached
+    err = _one_error_line(capsys, ["haar-test", flag, "0"])
+    assert err == f"focklab: error: {flag}: must be >= 1, got 0\n"
+
+
+def test_run_rejects_an_empty_sample_budget(tmp_path, capsys):
+    err = _one_error_line(capsys, ["run", "weights", "--samples", "0", "--out", str(tmp_path)])
+    assert err == "focklab: error: samples: must be >= 1, got 0\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("label", ["garbage", "λ=[1];ι=[2]"])
+def test_ftransform_cli_checks_the_norm_study_key_before_sampling(tmp_path, capsys, monkeypatch,
+                                                                   label):
+    chi = HardyChiFunction(SPEC, {BasisKey.vacuum(): 1.0})
+    fn = tmp_path / "chi.json"
+    fn.write_text(json.dumps(cli.chi_to_payload(chi)))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[[0.5, 0.0], [0.0, 0.0]]]}))
+    monkeypatch.setattr(cli.hc, "mc_f_transform", None)  # never reached
+    out = tmp_path / "ft.json"
+    argv = ["ftransform", "--function", str(fn), "--points", str(pts), "--levels", "1,2",
+            "--norm-study", str(tmp_path / "norms.csv"), "--norm-study-key", label,
+            "--out", str(out)]
+    assert _one_error_line(capsys, argv).startswith("focklab: error: --norm-study-key: ")
+    assert not out.exists()

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from focklab import hardy_chi as hc
 from focklab import polycalc as pc
 from focklab import unitary_haar as uh
 from focklab.fock_core import EVector, FockVector, GRAM_H, GRAM_W, TruncationSpec
@@ -210,6 +211,19 @@ def test_norm_convergence_study_decays():
     assert rows[1]["empirical"] == pytest.approx(0.5, abs=0.02)
     assert rows[2]["empirical"] == pytest.approx(0.25, abs=0.02)
     assert all(r["limit_value"] == 1.0 for r in rows)
+
+
+def test_norm_convergence_study_checks_every_level_before_sampling(monkeypatch):
+    calls = []
+
+    def counting_batch(m, count, rng):
+        calls.append(m)
+        return uh.haar_batch(m, count, rng)
+
+    monkeypatch.setattr(hc, "haar_batch", counting_batch)
+    with pytest.raises(ValueError, match="needs level >= 2"):
+        norm_convergence_study(BasisKey.from_label("λ=[1];ι=[2]"), (4, 1), 20000, seed=18)
+    assert calls == []
 
 
 def test_mc_orthogonality():

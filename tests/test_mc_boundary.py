@@ -1,0 +1,69 @@
+"""The Monte Carlo protocol stays behind ``unitary_haar.estimate``.
+
+Chunking, substreams, the process pool and the merge are private to
+``unitary_haar``; other modules hand a kernel to ``estimate``.  These checks
+read the source with ``ast``, so they hold without running any estimator.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import focklab
+
+SOURCES = sorted(Path(focklab.__file__).parent.glob("*.py"))
+OWNER = "unitary_haar"
+PROTOCOL = {"substream", "chunk_plan", "ProcessPoolExecutor"}
+
+
+def _called_names(tree) -> Counter:
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)] += 1
+    return names
+
+
+def _private_uses_of_owner(tree) -> list[str]:
+    """Underscore names taken from the owner module, by import or attribute."""
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == OWNER:
+                found += [a.name for a in node.names if a.name.startswith("_")]
+            else:
+                aliases |= {a.asname or a.name for a in node.names if a.name == OWNER}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name.endswith(f".{OWNER}") and a.asname}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")):
+            found.append(node.attr)
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != OWNER], ids=lambda p: p.stem)
+def test_no_other_module_reaches_into_the_monte_carlo_protocol(path):
+    tree = ast.parse(path.read_text())
+    assert _private_uses_of_owner(tree) == []
+    assert PROTOCOL.isdisjoint(_called_names(tree))
+
+
+def test_estimate_is_the_one_path_through_the_protocol():
+    calls = sum((_called_names(ast.parse(p.read_text())) for p in SOURCES), Counter())
+    for name in ("substream", "chunk_plan", "_merge_stats", "_map_chunks"):
+        assert calls[name] == 1, name
+
+
+def test_guard_sees_a_private_import_and_a_protocol_call():
+    tree = ast.parse(
+        "from .unitary_haar import _merge_stats\n"
+        "from . import unitary_haar as uh\n"
+        "uh._map_chunks(f, [], 1)\n"
+        "rng = uh.substream(1, 0)\n"
+    )
+    assert _private_uses_of_owner(tree) == ["_merge_stats", "_map_chunks"]
+    assert {"substream", "_map_chunks"} <= set(_called_names(tree))

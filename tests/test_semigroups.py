@@ -21,9 +21,7 @@ from focklab.partitions import BasisKey
 from focklab.semigroups import (
     GW_MULT,
     GW_SHIFT,
-    gaussian_kernel,
     gaussian_moment,
-    gaussian_raw_moment,
     gw_chi,
     gw_mult,
     gw_mult_oracle,
@@ -43,14 +41,11 @@ def test_kernel_normalisation_and_variance():
     var = sum(w * (2 * math.sqrt(r) * x) ** 2 for x, w in zip(nodes, weights))
     var /= math.sqrt(math.pi)
     assert var == pytest.approx(2 * r, rel=1e-12)
-    assert gaussian_kernel(r, 0.0) == pytest.approx(1 / math.sqrt(4 * math.pi * r))
 
 
 def test_gaussian_moment_values():
     assert gaussian_moment(0.5, 1) == pytest.approx(1.0)  # variance 2r
     assert gaussian_moment(1.0, 2) == pytest.approx(12.0)
-    assert gaussian_raw_moment(1.0, 3) == 0.0
-    assert gaussian_raw_moment(2.0, 0) == 1.0
     # factorial identity 2(2k-1)!/(k-1)! == (2k)!/k!
     for k in range(1, 8):
         lhs = 2 * math.factorial(2 * k - 1) // math.factorial(k - 1)

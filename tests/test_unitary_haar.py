@@ -12,6 +12,7 @@ from focklab.unitary_haar import (
     MomentEstimate,
     chunk_plan,
     embed_stabilized,
+    estimate,
     exact_moment,
     haar_batch,
     haar_moment_report,
@@ -146,6 +147,27 @@ def test_chunk_plan_partition():
     assert [index for index, _ in plan] == [0, 1, 2]
 
 
+def _normal_kernel(rng, count, scale):
+    return {"x": scale * rng.standard_normal(count)}, count
+
+
+def test_estimate_runs_each_chunk_from_its_substream():
+    means, extras = estimate(_normal_kernel, (2.0,), 20001, seed=24)
+    assert extras == [count for _, count in chunk_plan(20001)]
+    draws = 2.0 * np.concatenate([substream(24, i).standard_normal(n) for i, n in chunk_plan(20001)])
+    mean, stderr = means["x"]
+    assert mean == pytest.approx(draws.mean(), rel=1e-12)
+    assert stderr == pytest.approx(draws.std() / math.sqrt(draws.size), rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_empty_budget_is_rejected(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        estimate(_normal_kernel, (1.0,), samples, seed=1)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sample_moments(2, samples, seed=1)
+
+
 def _moment_bits(result) -> bytes:
     estimates, diagnostics = result
     values = [v for e in estimates.values() for v in (e.mean, e.stderr)]
@@ -193,10 +215,10 @@ def test_stable_merge_keeps_variance_under_large_mean():
 
 
 def test_z_score_rule():
-    assert uh._z_score(1.0, 2.0, 0.5) == -2.0
-    assert uh._z_score(1 + 4j, 1.0, 2.0) == 2.0
-    assert uh._z_score(0.5, 0.5 + 1e-13, 0.0) == 0.0
-    assert uh._z_score(0.5, 0.5 + 1e-13, 1e-18) == 0.0
-    assert uh._z_score(0.5, 0.5 + 1e-9, 0.0) == -math.inf
-    assert uh._z_score(1j, 0.0, 0.0) == math.inf
+    assert uh.z_score(1.0, 2.0, 0.5) == -2.0
+    assert uh.z_score(1 + 4j, 1.0, 2.0) == 2.0
+    assert uh.z_score(0.5, 0.5 + 1e-13, 0.0) == 0.0
+    assert uh.z_score(0.5, 0.5 + 1e-13, 1e-18) == 0.0
+    assert uh.z_score(0.5, 0.5 + 1e-9, 0.0) == -math.inf
+    assert uh.z_score(1j, 0.0, 0.0) == math.inf
     assert MomentEstimate("re_u11", 0.25, 0.0, 100).z_against(0.0) == math.inf
