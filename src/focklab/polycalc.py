@@ -9,9 +9,12 @@ Fock vector into monomial coefficients:
   w      : c = conj(psi) * C / degree!         (coherent-kernel reading, weighted Gram)
 
 Shifts, multiplications and derivatives are literal polynomial operations
-on the coefficients; they are realised as exponential flows of their
-(nilpotent or degree-raising) generators, which keeps every identity exact
-up to roundoff inside the truncation.
+on the coefficients, exact up to roundoff inside the truncation, by two
+routes that the suites check against each other.  The public kernels sum the
+exponential series of the generator by neighbour gathers; single operations,
+the series oracles and the quadrature run on them.  The step lists of
+``_wide_flow`` (the Weyl operators and their residuals) run on fibres, one
+small triangular matrix per coordinate.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ PAIRINGS = (PAIRING_W, PAIRING_H, TAYLOR)
 
 
 class CoeffTable:
-    """Flow tables and readout dressings for one truncation workspace.
+    """Gather tables and readout dressings for one truncation workspace.
 
-    Rows are those of ``fock_core.layout(spec)``.  The flow tables come from
-    exponent vectors alone; the dressings need the diagram of each row and are
-    built on first use, so the deep workspaces that only run flows stay small.
+    Rows are those of ``fock_core.layout(spec)``.  The neighbour tables come
+    from exponent vectors alone; the dressings need the diagram of each row
+    and are built on first use.  The deep workspaces of ``_wide_flow`` run on
+    ``_fibre_table`` and build neither.
     """
 
     def __init__(self, spec: TruncationSpec):
@@ -172,35 +176,17 @@ def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:
     return complex(c @ monomials)
 
 
-# Every workspace lists its keys by degree first, so the keys of a workspace
-# are the first rows of any deeper one of the same dimension.
-
-def lift(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndarray:
-    """Re-index coefficients into a larger workspace of the same dimension."""
-    if src.dim != dst.dim or dst.max_degree < src.max_degree:
-        raise ValueError("target workspace must extend the source")
-    out = np.zeros((layout(dst).size,) + c.shape[1:], dtype=complex)
-    out[: len(c)] = c
-    return out
-
-
-def restrict(c: np.ndarray, src: TruncationSpec, dst: TruncationSpec) -> np.ndarray:
-    """Project coefficients onto a smaller workspace of the same dimension."""
-    if src.dim != dst.dim or dst.max_degree > src.max_degree:
-        raise ValueError("target workspace must be contained in the source")
-    return c[: layout(dst).size].astype(complex)
-
-
 def _wide_flow(c, spec: TruncationSpec, margin: int, steps):
     """Run (kind, vector) steps on c in a workspace ``margin`` degrees deeper.
 
     Kinds: "shift" (x -> x + v), "mult" (times exp<x|v>), "scale" (times the
     number v, on the coefficients: on the Fock vector it would be conjugated).
-    A shift after a multiplication brings the tail that the
-    multiplication dropped at the cap down to spec, so such steps run again
-    two degrees shallower; if the two runs differ on spec by more than 1e-12
-    relative, the steps run once more with twice the margin.  Returns
-    (coefficients on spec, overflowed).
+    The steps run on fibres, not on the gather series that the Weyl routes
+    are checked against.  A shift after a multiplication brings the tail
+    that the multiplication dropped at the cap down to spec, so such steps
+    run again two degrees shallower; if the two runs differ on spec by more
+    than 1e-12 relative, the steps run once more with twice the margin.
+    Returns (coefficients on spec, overflowed).
     """
     depth = spec.max_degree + margin
     out, overflow = _flow_at(c, spec, depth, steps)
@@ -219,17 +205,76 @@ def _wide_residual(c, spec: TruncationSpec, margin: int, lhs, rhs, pairing: str)
     return w_norm_of_c(left - right, pairing, spec)
 
 
+# -- fibre flows --------------------------------------------------------------
+#
+# A shift and a multiplication by exp<x|a> factor into commuting
+# one-coordinate flows.  Along axis k the rows that agree in every exponent
+# but e_k form a fibre, and a one-coordinate flow maps every fibre by the same
+# triangular matrix: one gather, one matrix product and one scatter.
+
+
+@lru_cache(maxsize=None)
+def _fibre_table(spec: TruncationSpec, k: int) -> np.ndarray:
+    """The (fibres, max_degree + 1) table of the rows along axis k, by e_k.
+
+    A fibre whose other exponents sum to s has max_degree - s + 1 rows; its
+    other cells hold ``size``, the row of an appended zero, so the mass that a
+    multiplication pushes past the cap falls there and is dropped.
+    """
+    rows = layout(spec)
+    radix = spec.max_degree + 1
+    # fibre id from the other exponents read as the digits of one number
+    key = np.delete(rows.exponents, k, axis=1) @ radix ** np.arange(spec.dim - 1)
+    _, fibre = np.unique(key, return_inverse=True)
+    # int32 halves the largest cache of the deep workspaces, at the cost of
+    # numpy widening the index on every gather and scatter
+    table = np.full((fibre.max() + 1, radix), rows.size, dtype=np.int32)
+    table[fibre, rows.exponents[:, k]] = np.arange(rows.size)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=64)
+def _fibre_matrices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|i - j|, and the shift and multiplication matrices at direction 1:
+    C(j, i) above the diagonal and 1/(i - j)! below it."""
+    cells = np.arange(depth + 1)
+    gap = np.abs(np.subtract.outer(cells, cells))
+    shift = np.array([[math.comb(j, i) for j in cells] for i in cells], dtype=float)
+    factorials = np.array([float(math.factorial(m)) for m in cells])
+    return gap, shift, np.tri(depth + 1) / factorials[gap]
+
+
 def _flow_at(c, spec: TruncationSpec, depth: int, steps):
+    """Run the steps of ``_wide_flow`` on the (size,) coefficients c at ``depth``.
+
+    A step acts on the fibres of one axis at a time: a shift by b maps the
+    cells of a fibre by C(j, i) b^(j-i), a multiplication by exp<x|a> by
+    conj(a)^(i-j) / (i-j)!.  Cells past the cap are the zero row, so the
+    product is truncated at the cap as the gather series truncates it.
+    Returns (coefficients on spec, overflowed); a multiplication overflows
+    when its direction and its input are both nonzero.
+    """
     wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
-    c, overflow = lift(c, spec, wide), False
+    gap, shift, mult = _fibre_matrices(wide.max_degree)
+    size = layout(wide).size
+    x = np.zeros(size + 1, dtype=complex)  # the last row is the zero row
+    x[: len(c)] = c
+    overflow = False
     for kind, vec in steps:
-        if kind == "mult":
-            c, over = apply_exp_mult(c, vec, wide)
-            overflow = overflow or over
-        elif kind == "shift":
-            c = apply_shift(c, vec, wide)
-        elif kind == "scale":
-            c = c * complex(vec)
-        else:
+        if kind == "scale":
+            x *= complex(vec)
+            continue
+        if kind not in ("shift", "mult"):
             raise ValueError(f"unknown flow step {kind!r}")
-    return restrict(c, wide, spec), overflow
+        z = _direction(vec)
+        if kind == "mult":
+            z = z.conj()
+            overflow = overflow or bool(z.any() and x.any())
+        unit = shift if kind == "shift" else mult
+        for k in np.flatnonzero(z):
+            matrix = unit * (z[k] ** np.arange(len(unit)))[gap]
+            pad = _fibre_table(wide, k)
+            x[pad] = x[pad] @ matrix.T
+            x[size] = 0
+    return x[: len(c)], overflow

@@ -53,6 +53,8 @@ def chunk_plan(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]
 
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` Haar unitaries of size m."""
+    if m < 1:
+        raise ValueError("size must be >= 1")
     z = (
         rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
     ) / math.sqrt(2.0)
@@ -64,8 +66,6 @@ def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_sample(m: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar unitary of size m; always passes the unitarity check."""
-    if m < 1:
-        raise ValueError("size must be >= 1")
     u = haar_batch(m, 1, rng)[0]
     assert_unitary(u)
     return u

@@ -193,6 +193,12 @@ def test_mc_requires_indices_within_level():
         )
 
 
+def test_mc_rejects_level_zero():
+    f = HardyChiFunction.constant(TruncationSpec(2, 2))
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        mc_f_transform(f, EVector.zero(2), 0, 1000, seed=1)
+
+
 def test_stderr_scaling():
     x = EVector((0.6, 0.0, 0.0))
     const = HardyChiFunction.constant(SPEC)

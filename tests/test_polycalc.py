@@ -1,7 +1,9 @@
-"""Gather kernels of the coefficient calculus against the scatter loops they replaced."""
+"""Gather kernels of the coefficient calculus against the scatter loops they
+replaced, and the fibre flows of the wide workspaces against the gather kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focklab import polycalc as pc
 from focklab.fock_core import EVector, TruncationSpec, layout
@@ -161,21 +163,96 @@ def test_overflow_flag_matches_scatter_loops():
 
 
 @pytest.mark.parametrize("spec", SPECS)
-def test_lift_then_restrict_is_identity(spec):
-    rng = np.random.default_rng(13)
-    wide = TruncationSpec(spec.max_degree + 5, spec.dim)
-    for c in (_coefficients(spec, rng), _coefficients(spec, rng, 4, 0.2)):
-        lifted = pc.lift(c, spec, wide)
-        assert lifted.shape == (pc.table(wide).size(),) + c.shape[1:]
-        assert np.linalg.norm(lifted) == np.linalg.norm(c)
-        assert np.array_equal(pc.restrict(lifted, wide, spec), c)
-        assert np.array_equal(pc.restrict(c, spec, spec), c)
-
-
-@pytest.mark.parametrize("spec", SPECS)
 def test_flow_tables_follow_the_key_order(spec):
     rows = layout(spec)
     assert pc.table(spec).exponents.tolist() == [list(key.exponents(spec.dim)) for key in rows.keys]
-    # lift and restrict rely on the keys of a workspace leading a deeper one
+    # the wide flows rely on the keys of a workspace leading a deeper one
     wide = layout(TruncationSpec(spec.max_degree + 3, spec.dim))
     assert wide.keys[: rows.size] == rows.keys
+
+
+# -- fibre flows against the gather series ----------------------------------------
+
+def gather_flow(c, spec, depth, steps):
+    """The steps of ``polycalc._flow_at`` run by the gather series at ``depth``."""
+    wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
+    x = np.zeros(pc.table(wide).size(), dtype=complex)
+    x[: len(c)] = c
+    overflow = False
+    for kind, vec in steps:
+        if kind == "shift":
+            x = pc.apply_shift(x, vec, wide)
+        elif kind == "mult":
+            x, over = pc.apply_exp_mult(x, vec, wide)
+            overflow = overflow or over
+        else:
+            x = x * complex(vec)
+    return x[: len(c)], overflow
+
+
+def _steps(dim, rng, kinds, scale=0.6, sparse=False):
+    steps = []
+    for kind in kinds:
+        if kind == "scale":
+            steps.append((kind, complex(*rng.standard_normal(2))))
+            continue
+        coords = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        if sparse:
+            coords = coords * (rng.random(dim) < 0.5)
+        steps.append((kind, EVector(tuple(coords))))
+    return steps
+
+
+def _assert_flows_agree(c, spec, depth, steps):
+    got, over = pc._flow_at(c, spec, depth, steps)
+    want, want_over = gather_flow(c, spec, depth, steps)
+    assert got.shape == c.shape
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert over == want_over
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    depth=st.integers(0, 10),
+    cap=st.integers(0, 10),
+    kinds=st.lists(st.sampled_from(["shift", "mult", "scale"]), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([1.0, 0.3, 0.0]),
+    sparse=st.booleans(),
+)
+def test_fibre_flows_match_gather_series(dim, depth, cap, kinds, seed, density, sparse):
+    rng = np.random.default_rng(seed)
+    spec = TruncationSpec(min(cap, depth), dim)
+    c = _coefficients(spec, rng, density=density)
+    _assert_flows_agree(c, spec, depth, _steps(dim, rng, kinds, sparse=sparse))
+
+
+WEYL_KINDS = ["shift", "mult", "scale", "shift", "mult", "scale", "scale"]
+
+
+@pytest.mark.parametrize("spec, depth", [(TruncationSpec(6, 3), 22), (TruncationSpec(6, 4), 10)])
+def test_fibre_flows_match_gather_series_on_weyl_steps(spec, depth):
+    rng = np.random.default_rng(depth)
+    c = _coefficients(spec, rng) * (pc.table(spec).degree <= 4)
+    _assert_flows_agree(c, spec, depth, _steps(spec.dim, rng, WEYL_KINDS, scale=0.4))
+
+
+def test_fibre_tables_stay_within_dim_times_rows():
+    # a (max_degree + 1)^dim box would hold 13^6 = 4.8 million cells here
+    wide = TruncationSpec(12, 6)
+    size, exponents = layout(wide).size, layout(wide).exponents
+    for k in range(wide.dim):
+        table = pc._fibre_table(wide, k)
+        assert table.size <= wide.dim * size
+        rows = np.sort(table[table < size])
+        assert np.array_equal(rows, np.arange(size))
+        for fibre in table[:5]:
+            cells = fibre[fibre < size]
+            assert np.array_equal(exponents[cells, k], np.arange(len(cells)))
+            others = np.delete(exponents[cells], k, axis=1)
+            assert (others == others[0]).all()
+    spec = TruncationSpec(4, 6)
+    rng = np.random.default_rng(12)
+    steps = _steps(6, rng, ["shift", "mult", "shift"])
+    _assert_flows_agree(_coefficients(spec, rng), spec, 12, steps)

@@ -168,6 +168,14 @@ def test_empty_budget_is_rejected(samples):
         sample_moments(2, samples, seed=1)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_empty_unitary_size_is_rejected(m):
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        haar_batch(m, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        sample_moments(m, 100, seed=1)
+
+
 def _moment_bits(result) -> bytes:
     estimates, diagnostics = result
     values = [v for e in estimates.values() for v in (e.mean, e.stderr)]
