@@ -1,10 +1,13 @@
 # Haar sampling, corner projections, and virtual unitaries.
 #
-# Unitaries are drawn by QR-factoring complex Gaussian matrices and fixing
-# the phases of the R-diagonal.  The corner map sends a unitary of size m+1
-# to one of size m; iterating it below a fixed top matrix yields the
-# stabilised sequences ("virtual unitaries") and the projected matrices are
-# distributed exactly like direct Haar samples one size down.
+# Unitaries are drawn by orthonormalising the columns of complex Gaussian
+# matrices with Gram-Schmidt, run twice per column over a whole batch at once.
+# That gives the Q of the QR factorisation whose R has a positive diagonal,
+# i.e. LAPACK's QR with the phases of the R-diagonal fixed, which is exactly
+# Haar distributed.  The corner map sends a unitary of size m+1 to one of
+# size m; iterating it below a fixed top matrix yields the stabilised
+# sequences ("virtual unitaries") and the projected matrices are distributed
+# exactly like direct Haar samples one size down.
 
 import numpy as np
 

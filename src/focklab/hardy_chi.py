@@ -181,6 +181,11 @@ class TransformEstimate(MCEstimate):
         }
 
 
+def _check_level(level: int) -> None:
+    if level < 1:
+        raise ValueError(f"sampling level {level}: unitary size must be >= 1")
+
+
 def mc_f_transform(
     f: HardyChiFunction,
     x: EVector,
@@ -195,6 +200,7 @@ def mc_f_transform(
     per-degree moment integrals of conj(phi_x)^n * f_n (the Taylor-term
     estimators).  Requires every index in f and x to stay within the level.
     """
+    _check_level(level)
     if f.max_index() > level:
         raise ValueError("function uses an index beyond the sampling level")
     if any(v != 0 for v in x.coords[level:]):
@@ -223,6 +229,8 @@ def norm_convergence_study(
     ``w_norm_sq``, that value at m equal to the diagram length.  Report-only.
     Every level is checked before any is sampled.
     """
+    for m in levels:
+        _check_level(m)
     if any(key.max_index() > m for m in levels):
         raise ValueError(f"key {key.label()} needs level >= {key.max_index()}")
     limit = float(w_norm_sq(key.diagram))
@@ -257,6 +265,7 @@ def mc_pair_integral(
     workers: int = 1,
 ) -> MCEstimate:
     """Haar integral of one basis function against the conjugate of another."""
+    _check_level(level)
     means, _ = estimate(_pair_kernel, (level, key1, key2), samples, seed, workers)
     mean, stderr = means["pair"]
     return MCEstimate(complex(mean), stderr, samples)

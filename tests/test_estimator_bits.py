@@ -59,27 +59,27 @@ def _pair():
 GOLDEN = {
     "sample_moments.direct": (
         lambda: _moments("direct"),
-        "d06924bbc38c6031626545226c0399d0a89cbab1cfde423d472b98e0db6109cf",
+        "9cf5ebff644bc3763d3aa2a79fc88ba5ad8c189f1c693a95faeec3686ae451df",
     ),
     "sample_moments.project": (
         lambda: _moments("project"),
-        "aabee8ddad8e7d10595b6faea9071803c19df2fda69f0818f9aa6f558a8b0eee",
+        "4a2ba0af48186b3098665c40933796619f519c1d5c4e36c726c4dcc1b8d0a524",
     ),
     "invariance_report": (
         _invariance,
-        "f1d0d39fbaf92b9c68ca5ee959f866e6a3de30ff5708b4267a6713efee2166ea",
+        "33fb0a4b74b0a0dafbca1d0c8e2fd6f9495535244622a1ad15c52b3faac92de4",
     ),
     "pushforward_consistency": (
         _pushforward,
-        "e11d2bd00d1c47c3eab57cd5fd75fddff7479b24e7a2c254377f04e1300277bf",
+        "2571a45bd71ebba37d917f83bbd6e794fe6b198c5e9be2d9aac006ae46d02a1c",
     ),
     "mc_f_transform": (
         _transform,
-        "7bf5e5aeb53bc5c51a56454ba77cf7c8a1e768f0c0f7aeaadb048fa627ae698f",
+        "51e28ebc32792eca0befbb483158a4245d9504e0567d1df8df1444cf22532564",
     ),
     "mc_pair_integral": (
         _pair,
-        "454b4d7d60dae65bcbc3de4e0428faa0fa2fdd7be2ba9209e13e52ee49779b07",
+        "7bf1e0af97616f2ad7e7998ebc972ba5811c872e6843334eda066808b90131cc",
     ),
 }
 

@@ -199,6 +199,23 @@ def test_mc_rejects_level_zero():
         mc_f_transform(f, EVector.zero(2), 0, 1000, seed=1)
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_mc_estimators_name_a_bad_level_before_sampling(level, monkeypatch):
+    def no_sampling(m, count, rng):
+        raise AssertionError("sampled before the level check")
+
+    monkeypatch.setattr(hc, "haar_batch", no_sampling)
+    f = HardyChiFunction.constant(TruncationSpec(2, 2))
+    key = BasisKey.make((1,), (1,))
+    bad = f"sampling level {level}: unitary size must be >= 1"
+    with pytest.raises(ValueError, match=bad):
+        mc_f_transform(f, EVector.zero(2), level, 1000, seed=1)
+    with pytest.raises(ValueError, match=bad):
+        mc_pair_integral(key, key, level, 1000, seed=1)
+    with pytest.raises(ValueError, match=bad):
+        norm_convergence_study(key, (2, level), 1000, seed=1)
+
+
 def test_stderr_scaling():
     x = EVector((0.6, 0.0, 0.0))
     const = HardyChiFunction.constant(SPEC)

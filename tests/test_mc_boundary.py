@@ -1,8 +1,9 @@
 """The Monte Carlo protocol stays behind ``unitary_haar.estimate``.
 
 Chunking, substreams, the process pool and the merge are private to
-``unitary_haar``; other modules hand a kernel to ``estimate``.  These checks
-read the source with ``ast``, so they hold without running any estimator.
+``unitary_haar``; other modules hand a kernel to ``estimate``, and every Haar
+sample comes from ``haar_batch``.  These checks read the source with ``ast``,
+so they hold without running any estimator.
 """
 
 import ast
@@ -58,6 +59,13 @@ def test_estimate_is_the_one_path_through_the_protocol():
         assert calls[name] == 1, name
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_calls_a_lapack_qr(path):
+    # Haar samples come from the one Gram-Schmidt sampler in ``haar_batch``;
+    # LAPACK's QR stays in the tests as its independent oracle.
+    assert _called_names(ast.parse(path.read_text()))["qr"] == 0
+
+
 def test_guard_sees_a_private_import_and_a_protocol_call():
     tree = ast.parse(
         "from .unitary_haar import _merge_stats\n"
@@ -67,3 +75,4 @@ def test_guard_sees_a_private_import_and_a_protocol_call():
     )
     assert _private_uses_of_owner(tree) == ["_merge_stats", "_map_chunks"]
     assert {"substream", "_map_chunks"} <= set(_called_names(tree))
+    assert _called_names(ast.parse("q, r = np.linalg.qr(z)"))["qr"] == 1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from focklab.unitary_haar import (
     embed_stabilized,
     estimate,
     exact_moment,
+    exact_trace_moment,
+    exact_u11_moment,
     haar_batch,
     haar_moment_report,
     haar_sample,
@@ -40,6 +43,96 @@ def test_haar_phase_at_m1():
     batch = haar_batch(1, 2000, rng)
     mods = np.abs(batch[:, 0, 0])
     assert np.max(np.abs(mods - 1.0)) < 1e-12
+
+
+def _gaussian(rng, count, m):
+    """The draw ``haar_batch`` makes: real parts first, then imaginary parts."""
+    return rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+
+
+def _phase_fixed_qr(z):
+    """LAPACK QR with the phases of R's diagonal moved into Q: the oracle route."""
+    q, r = np.linalg.qr(z)
+    diag = np.einsum("...ii->...i", r)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_haar_batch_is_the_phase_fixed_qr_of_the_same_draw(seed):
+    for m in range(1, 9):
+        z = _gaussian(np.random.default_rng((seed, m)), 300, m)
+        batch = haar_batch(m, 300, np.random.default_rng((seed, m)))
+        assert batch.shape == (300, m, m) and batch.flags.c_contiguous
+        assert np.abs(batch - _phase_fixed_qr(z)).max() < 1e-12
+
+
+class _Planted:
+    """Stands in for a generator: hands out the real, then the imaginary part of Z."""
+
+    def __init__(self, z):
+        self.parts = [z.real.copy(), z.imag.copy()]
+
+    def standard_normal(self, shape):
+        assert shape == self.parts[0].shape
+        return self.parts.pop(0)
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
+def test_haar_batch_stays_unitary_on_near_dependent_columns(cond):
+    rng = np.random.default_rng(13)
+    m, count = 6, 400
+    # Z = A diag(s) B with singular values from 1 down to 1/cond
+    a, b = _phase_fixed_qr(_gaussian(rng, count, m)), _phase_fixed_qr(_gaussian(rng, count, m))
+    z = (a * np.logspace(0, -math.log10(cond), m)) @ b
+    q = haar_batch(m, count, _Planted(z))
+    assert unitarity_defect(q) <= 1e-13
+    r = np.swapaxes(q.conj(), -1, -2) @ z
+    assert np.abs(np.tril(r, -1)).max() <= 1e-14
+    diag = np.einsum("...ii->...i", r)
+    assert diag.real.min() > 0.0 and np.abs(diag.imag).max() <= 1e-14
+    # only the agreement with LAPACK degrades, as cond * eps
+    assert np.abs(q - _phase_fixed_qr(z)).max() <= 100 * cond * np.finfo(float).eps
+
+
+def test_exact_haar_oracles():
+    for m in range(1, 10):
+        assert exact_u11_moment(m, 0) == 1
+        assert exact_u11_moment(m, 1) == Fraction(1, m)
+        assert exact_u11_moment(m, 2) == Fraction(2, m * (m + 1))
+        assert exact_u11_moment(m, 4) == Fraction(24 * math.factorial(m - 1),
+                                                  math.factorial(m + 3))
+        for k in range(m + 1):
+            assert exact_trace_moment(m, k) == math.factorial(k)
+        with pytest.raises(ValueError, match="0 <= k <= m"):
+            exact_trace_moment(m, m + 1)
+    for bad in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            exact_u11_moment(*bad)
+        with pytest.raises(ValueError):
+            exact_trace_moment(*bad)
+
+
+def _power_kernel(rng, count, m, transform):
+    """|u11|^2k for k <= 4 and |tr U|^2k for k <= min(m, 3), direct or Livšic-projected."""
+    if transform == "project":
+        batch, _ = livsic_project_batch(haar_batch(m + 1, count, rng))
+    else:
+        batch = haar_batch(m, count, rng)
+    u11 = np.abs(batch[:, 0, 0]) ** 2
+    trace = np.abs(np.einsum("...ii->...", batch)) ** 2
+    values = {("u11", k): u11**k for k in range(1, 5)}
+    values.update({("trace", k): trace**k for k in range(1, min(m, 3) + 1)})
+    return values, None
+
+
+@pytest.mark.parametrize("transform", ["direct", "project"])
+def test_moments_match_exact_oracles(transform):
+    oracle = {"u11": exact_u11_moment, "trace": exact_trace_moment}
+    for m in range(1, 7):
+        means, _ = estimate(_power_kernel, (m, transform), 40000, seed=30 + m)
+        for (kind, k), (mean, stderr) in means.items():
+            z = uh.z_score(mean, float(oracle[kind](m, k)), stderr)
+            assert abs(z) < 4.0, (transform, m, kind, k, z)
 
 
 def test_moment_estimates_match_exact():
