@@ -36,6 +36,20 @@ from . import unitary_haar as uh
 # the workspace of the ftransform suite; the other suites fix their own
 FTRANSFORM_SPEC = fc.TruncationSpec(6, 4)
 
+# the tolerances the suites read; each reading site keeps its own default
+TOLERANCE_NAMES = frozenset((
+    "annihilation", "chain", "coherent", "commutator", "conjugation", "contractivity",
+    "finite_difference", "group", "growth", "gw", "gw_zero", "hs", "intertwine", "isometry",
+    "kernel", "leibniz", "moment", "pointwise", "polarization", "product", "quat", "route",
+    "unitarity", "weyl", "weyl_group", "witness",
+))
+
+
+def _tolerance_name(name: str) -> str:
+    if name not in TOLERANCE_NAMES:
+        raise ValueError(f"unknown tolerance {name!r}")
+    return name
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -49,7 +63,7 @@ class RunConfig:
     out: str = "reports"
 
     def tol(self, name: str, default: float) -> float:
-        return dict(self.tolerances).get(name, default)
+        return dict(self.tolerances).get(_tolerance_name(name), default)
 
     def readout(self) -> str:
         """The readout under which the annihilation variant intertwines."""
@@ -87,7 +101,7 @@ def _parse_tol(item: str) -> tuple[str, float]:
     name, sep, value = item.partition("=")
     if not sep or not name.strip():
         raise ValueError(f"expected name=value, got {item!r}")
-    return name.strip(), float(value)
+    return _tolerance_name(name.strip()), float(value)
 
 
 _CONFIG_PARSERS = {"seed": int, "samples": int, "margin": int, "workers": int,
@@ -118,7 +132,7 @@ def load_config(path: str | None) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: {exc}") from None
         if key.startswith("tol."):
-            tols[key[4:]] = parsed
+            tols[_tolerance_name(key[4:])] = parsed
         else:
             updates[key] = parsed
     return replace(cfg, **updates, tolerances=tuple(sorted(tols.items())))
@@ -954,13 +968,20 @@ def suite_haar(cfg: RunConfig):
                       "acting with the embedding pair reproduces the matrix",
                       act_bad, cfg.tol("chain", 1e-10)))
 
-    one = uh.sample_moments(3, 40000, cfg.seed, workers=1)[0]
-    many = uh.sample_moments(3, 40000, cfg.seed, workers=max(cfg.workers, 2))[0]
-    repro = max(abs(one[name].mean - many[name].mean) for name in uh.MOMENT_NAMES)
-    cases.append(Case("haar.reproducibility",
-                      "estimates are bitwise identical for any worker count",
-                      repro, 0.0))
+    cases.append(_reproducibility_case(cfg))
     return cases, studies
+
+
+def _reproducibility_case(cfg: RunConfig) -> Case:
+    """Means, standard errors and diagnostics at one worker against two or more."""
+    (one, one_diag), (many, many_diag) = (
+        uh.sample_moments(3, 40000, cfg.seed, workers=w) for w in (1, max(cfg.workers, 2))
+    )
+    gaps = [abs(getattr(one[name], attr) - getattr(many[name], attr))
+            for name in uh.MOMENT_NAMES for attr in ("mean", "stderr")]
+    gaps += [abs(one_diag[key] - many_diag[key]) for key in one_diag]
+    return Case("haar.reproducibility",
+                "estimates are bitwise identical for any worker count", float(max(gaps)), 0.0)
 
 
 # -- suite: ftransform --------------------------------------------------------
@@ -1327,6 +1348,7 @@ def _parse_r_schedule(text: str) -> list[float]:
 
 
 def cmd_gw(args) -> int:
+    _require_positive({"--nodes": args.nodes})
     f = _read_payload(args.function, function_from_payload)
     a = _parse_input("--direction", _parse_direction, args.direction, f.spec.dim)
     schedule = _parse_input("--r-schedule", _parse_r_schedule, args.r_schedule)

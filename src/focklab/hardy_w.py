@@ -44,7 +44,6 @@ class HardyWFunction:
 
     fock: FockVector
     pairing: str = pc.TAYLOR
-    overflow: bool = False
 
     def __post_init__(self):
         if self.pairing not in PAIRINGS:
@@ -61,10 +60,9 @@ class HardyWFunction:
         return pc.psi_to_c(self.fock, self.pairing)
 
     @classmethod
-    def from_coefficients(
-        cls, c: np.ndarray, spec: TruncationSpec, pairing: str, overflow: bool = False
-    ) -> "HardyWFunction":
-        return cls(pc.c_to_psi(c, pairing, spec), pairing, overflow)
+    def from_coefficients(cls, c: np.ndarray, spec: TruncationSpec,
+                          pairing: str) -> "HardyWFunction":
+        return cls(pc.c_to_psi(c, pairing, spec), pairing)
 
     def with_pairing(self, pairing: str) -> "HardyWFunction":
         """Same Fock vector, different readout (a different function)."""
@@ -89,7 +87,7 @@ def evaluate_kernel(f: HardyWFunction, x: EVector, kind: str) -> complex:
 def shift(f: HardyWFunction, a: EVector) -> HardyWFunction:
     """The function x -> f(x + a); exact, degree never increases."""
     c = pc.apply_shift(f.coefficients(), a, f.spec)
-    return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow)
+    return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
 def shift_via_adjoint(f: HardyWFunction, a: EVector) -> HardyWFunction:
@@ -101,23 +99,22 @@ def shift_via_adjoint(f: HardyWFunction, a: EVector) -> HardyWFunction:
     if f.pairing not in (GRAM_W, GRAM_H):
         raise ValueError("adjoint transport requires the 'w' or 'h' readout")
     op = adjoint(f.pairing, exp_creation(a, f.spec))
-    return HardyWFunction(op.apply(f.fock), f.pairing, f.overflow)
+    return HardyWFunction(op.apply(f.fock), f.pairing)
 
 
 def multiply_exp(f: HardyWFunction, a: EVector) -> HardyWFunction:
     """The function x -> f(x) * exp(<x|a>), truncated at the degree cap."""
-    c, over = pc.apply_exp_mult(f.coefficients(), a, f.spec)
-    return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow or over)
+    c = pc.apply_exp_mult(f.coefficients(), a, f.spec)
+    return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
 def multiply_via_creation(f: HardyWFunction, a: EVector) -> HardyWFunction:
     """Multiplication route through the creation exponential operator.
 
-    Coincides with ``multiply_exp`` for the ``"taylor"`` readout; kept as the
-    independent matrix-level route.
+    Coincides with ``multiply_exp`` for the ``"taylor"`` readout, including
+    the mass dropped at the cap; kept as the independent matrix-level route.
     """
-    op = exp_creation(a, f.spec)
-    return HardyWFunction(op.apply(f.fock), f.pairing, True)
+    return HardyWFunction(exp_creation(a, f.spec).apply(f.fock), f.pairing)
 
 
 def directional_derivative(
@@ -127,13 +124,13 @@ def directional_derivative(
     c = f.coefficients()
     for _ in range(order):
         c = pc.apply_derivative(c, a, f.spec)
-    return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow)
+    return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
 def generator_mult(f: HardyWFunction, a: EVector) -> HardyWFunction:
     """Multiplication by the linear form <x|a>; degree rises by one."""
-    c, over = pc.apply_mult_linear(f.coefficients(), a, f.spec)
-    return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow or over)
+    c = pc.apply_mult_linear(f.coefficients(), a, f.spec)
+    return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
 def residual(f: HardyWFunction, g: HardyWFunction) -> float:

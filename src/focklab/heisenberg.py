@@ -145,8 +145,8 @@ class _Flow:
     concatenates their steps, so compositions stay on one dense array."""
 
     def apply(self, f: HardyWFunction) -> HardyWFunction:
-        c, over = pc._wide_flow(f.coefficients(), f.spec, self.margin, self.steps())
-        return HardyWFunction.from_coefficients(c, f.spec, f.pairing, f.overflow or over)
+        c = pc._wide_flow(f.coefficients(), f.spec, self.margin, self.steps())
+        return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
 @dataclass(frozen=True)

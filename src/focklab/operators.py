@@ -44,13 +44,12 @@ class OperatorMatrix:
     """Block linear map on the truncated coefficient space.
 
     ``blocks[(src_degree, tgt_degree)]`` is a dense complex matrix of shape
-    (dim tgt, dim src).  ``dropped_overflow`` records that some block of the
-    ideal operator fell beyond the degree cap and was discarded.
+    (dim tgt, dim src).  Blocks whose target degree would exceed the cap are
+    not stored, so a degree-raising operator drops what it pushes past it.
     """
 
     spec: TruncationSpec
     blocks: dict = field(default_factory=dict)
-    dropped_overflow: bool = False
 
     @classmethod
     def identity(cls, spec: TruncationSpec) -> "OperatorMatrix":
@@ -86,9 +85,7 @@ class OperatorMatrix:
                 acc = blocks.get((src, tgt))
                 prod = b_self @ b_other
                 blocks[(src, tgt)] = prod if acc is None else acc + prod
-        return OperatorMatrix(
-            self.spec, blocks, self.dropped_overflow or other.dropped_overflow
-        )
+        return OperatorMatrix(self.spec, blocks)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.spec != other.spec:
@@ -96,14 +93,10 @@ class OperatorMatrix:
         blocks = {k: b.copy() for k, b in self.blocks.items()}
         for k, b in other.blocks.items():
             blocks[k] = blocks[k] + b if k in blocks else b.copy()
-        return OperatorMatrix(
-            self.spec, blocks, self.dropped_overflow or other.dropped_overflow
-        )
+        return OperatorMatrix(self.spec, blocks)
 
     def scale(self, s: complex) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.spec, {k: s * b for k, b in self.blocks.items()}, self.dropped_overflow
-        )
+        return OperatorMatrix(self.spec, {k: s * b for k, b in self.blocks.items()})
 
     def max_block_difference(self, other: "OperatorMatrix") -> float:
         """Largest entry-wise deviation between two operators."""
@@ -137,7 +130,7 @@ def _merge_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
 def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
     """Degree-raising symmetric multiplication by the m-th tensor power of a.
 
-    Blocks that would land beyond the degree cap are dropped and flagged.
+    Blocks that would land beyond the degree cap are dropped.
     The action on a degree-(n-m) monomial equals the m-th t-derivative of
     (x + t a)^(tensor n) at t = 0, rescaled by (n-m)!/n!.
     """
@@ -146,10 +139,7 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
     if a.dim != spec.dim:
         raise ValueError("dimension mismatch")
     op = OperatorMatrix.zero(spec)
-    if all(c == 0 for c in a.coords):
-        return op
-    op.dropped_overflow = True  # the top source degree always spills over the cap
-    if m > spec.max_degree:
+    if all(c == 0 for c in a.coords) or m > spec.max_degree:
         return op
     # adding to zeros maps a -0.0 amplitude to +0.0, as accumulating into a
     # zero block does
@@ -164,7 +154,7 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
 
 def adjoint(kind: str, T: OperatorMatrix) -> OperatorMatrix:
     """Unique operator S with <T psi | phi> = <psi | S phi> for the given Gram."""
-    out = OperatorMatrix(T.spec, {}, T.dropped_overflow)
+    out = OperatorMatrix(T.spec)
     rows = layout(T.spec)
     gram = rows.gram(kind)
     for (src, tgt), block in T.blocks.items():
@@ -193,8 +183,6 @@ def exp_creation(a: EVector, spec: TruncationSpec) -> OperatorMatrix:
     op = OperatorMatrix.identity(spec)
     for m in range(1, spec.max_degree + 1):
         op = op + creation(a, m, spec).scale(1.0 / math.factorial(m))
-    if any(c != 0 for c in a.coords):
-        op.dropped_overflow = True
     return op
 
 

@@ -14,7 +14,10 @@ routes that the suites check against each other.  The public kernels sum the
 exponential series of the generator by neighbour gathers; single operations,
 the series oracles and the quadrature run on them.  The step lists of
 ``_wide_flow`` (the Weyl operators and their residuals) run on fibres, one
-small triangular matrix per coordinate.
+small triangular matrix per coordinate.  Every kernel returns the coefficient
+array alone and drops what a product pushes past the cap; the wide flows
+guard against that loss with their margin and tail probe, and building a
+vector beyond the cap raises ``TruncationOverflowError``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class CoeffTable:
                 wanted = as_bytes(self.exponents + sign * np.eye(d, dtype=np.int64)[k])
                 at = np.minimum(np.searchsorted(known, wanted), size - 1)
                 neighbour[:, k] = np.where(known[at] == wanted, order[at], size)
-        self.top = np.flatnonzero(self.degree == spec.max_degree)
 
     def size(self) -> int:
         return len(self.degree)
@@ -119,17 +121,9 @@ def _gather(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power=Non
     return out[:, 0] if c.ndim == weights.ndim == 1 else out
 
 
-def apply_mult_linear(c: np.ndarray, a, spec: TruncationSpec):
-    """Multiply by the linear form <x|a>; returns (result, overflowed).
-
-    ``overflowed`` says that some column has mass at the top degree and a
-    nonzero direction, so part of its product falls outside the workspace.
-    """
-    tab = table(spec)
-    weights = _direction(a).conj()
-    live = weights.reshape(len(weights), -1).any(axis=0)
-    overflow = bool((c.reshape(len(c), -1)[tab.top].any(axis=0) & live).any())
-    return _gather(c, weights, tab.down), overflow
+def apply_mult_linear(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
+    """Multiply by the linear form <x|a>; the top degree's product is dropped."""
+    return _gather(c, _direction(a).conj(), table(spec).down)
 
 
 def apply_derivative(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
@@ -151,23 +145,16 @@ def apply_shift(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     return out
 
 
-def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec):
-    """Multiply by exp(<x|a>), truncated at the cap; returns (result, overflowed)."""
+def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
+    """Multiply by exp(<x|a>), truncated at the cap."""
     out = c.copy()
     term = c
-    overflow = False
     for m in range(1, spec.max_degree + 1):
-        term, over = apply_mult_linear(term, a, spec)
-        term = term / m
-        overflow = overflow or over
+        term = apply_mult_linear(term, a, spec) / m
         if not term.any():
             break
         out = out + term
-    else:
-        # cap reached with mass still flowing upward
-        probe, over = apply_mult_linear(term, a, spec)
-        overflow = overflow or over or bool(probe.any())
-    return out, overflow
+    return out
 
 
 def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:
@@ -186,23 +173,22 @@ def _wide_flow(c, spec: TruncationSpec, margin: int, steps):
     that the multiplication dropped at the cap down to spec, so such steps
     run again two degrees shallower; if the two runs differ on spec by more
     than 1e-12 relative, the steps run once more with twice the margin.
-    Returns (coefficients on spec, overflowed).
+    Returns the coefficients on spec.
     """
     depth = spec.max_degree + margin
-    out, overflow = _flow_at(c, spec, depth, steps)
+    out = _flow_at(c, spec, depth, steps)
     kinds = [kind for kind, _ in steps]
     if margin and "mult" in kinds and "shift" in kinds[kinds.index("mult") :]:
-        probe, _ = _flow_at(c, spec, depth - 2, steps)
+        probe = _flow_at(c, spec, depth - 2, steps)
         if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
-            out, overflow = _flow_at(c, spec, depth + margin, steps)
-    return out, overflow
+            out = _flow_at(c, spec, depth + margin, steps)
+    return out
 
 
 def _wide_residual(c, spec: TruncationSpec, margin: int, lhs, rhs, pairing: str) -> float:
     """Weighted norm of the difference of two step lists applied to c."""
-    left, _ = _wide_flow(c, spec, margin, lhs)
-    right, _ = _wide_flow(c, spec, margin, rhs)
-    return w_norm_of_c(left - right, pairing, spec)
+    return w_norm_of_c(_wide_flow(c, spec, margin, lhs) - _wide_flow(c, spec, margin, rhs),
+                       pairing, spec)
 
 
 # -- fibre flows --------------------------------------------------------------
@@ -252,15 +238,13 @@ def _flow_at(c, spec: TruncationSpec, depth: int, steps):
     cells of a fibre by C(j, i) b^(j-i), a multiplication by exp<x|a> by
     conj(a)^(i-j) / (i-j)!.  Cells past the cap are the zero row, so the
     product is truncated at the cap as the gather series truncates it.
-    Returns (coefficients on spec, overflowed); a multiplication overflows
-    when its direction and its input are both nonzero.
+    Returns the coefficients on spec.
     """
     wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
     gap, shift, mult = _fibre_matrices(wide.max_degree)
     size = layout(wide).size
     x = np.zeros(size + 1, dtype=complex)  # the last row is the zero row
     x[: len(c)] = c
-    overflow = False
     for kind, vec in steps:
         if kind == "scale":
             x *= complex(vec)
@@ -270,11 +254,10 @@ def _flow_at(c, spec: TruncationSpec, depth: int, steps):
         z = _direction(vec)
         if kind == "mult":
             z = z.conj()
-            overflow = overflow or bool(z.any() and x.any())
         unit = shift if kind == "shift" else mult
         for k in np.flatnonzero(z):
             matrix = unit * (z[k] ** np.arange(len(unit)))[gap]
             pad = _fibre_table(wide, k)
             x[pad] = x[pad] @ matrix.T
             x[size] = 0
-    return x[: len(c)], overflow
+    return x[: len(c)]

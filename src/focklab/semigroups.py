@@ -63,28 +63,23 @@ def gw_mult(
     flow at once, one coefficient column each.
     """
     c, directions, weights = _node_columns(f, a, r, nodes)
-    out, overflow = pc.apply_exp_mult(c, directions, f.spec)
-    overflow = f.overflow or overflow
-    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing, overflow)
+    out = pc.apply_exp_mult(c, directions, f.spec)
+    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing)
 
 
 def _gw_series(f: HardyWFunction, r: float, step) -> HardyWFunction:
     """Sum of r^k / k! G^(2k) f on dense coefficients, where ``step`` applies
-    the generator G once and returns (coefficients, overflowed)."""
+    the generator G once."""
     if r <= 0:
         raise ValueError("time parameter must be positive")
     term = f.coefficients()
     out = term.copy()
-    overflow = f.overflow
     for k in range(1, f.spec.max_degree // 2 + 1):
-        term, first = step(term)
-        term, second = step(term)
-        overflow = overflow or first or second
-        term = term * (r / k)
+        term = step(step(term)) * (r / k)
         if not term.any():
             break
         out += term
-    return HardyWFunction.from_coefficients(out, f.spec, f.pairing, overflow)
+    return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
 
 
 def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
@@ -97,7 +92,7 @@ def gw_shift(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
 
     Exact on polynomials since the derivative is nilpotent.
     """
-    return _gw_series(f, r, lambda c: (pc.apply_derivative(c, a, f.spec), False))
+    return _gw_series(f, r, lambda c: pc.apply_derivative(c, a, f.spec))
 
 
 def gw_shift_quadrature(
@@ -106,7 +101,7 @@ def gw_shift_quadrature(
     """Quadrature route for the shift semigroup (cross-check of ``gw_shift``)."""
     c, directions, weights = _node_columns(f, a, r, nodes)
     out = pc.apply_shift(c, directions, f.spec)
-    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing, f.overflow)
+    return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing)
 
 
 def gw_chi(

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ def test_config_file_parsing(tmp_path):
     assert cfg.seed == 7
     assert cfg.levels == (1, 2)
     assert cfg.tol("gw", 0.0) == 1e-7
-    assert cfg.tol("other", 0.25) == 0.25
+    assert cfg.tol("moment", 0.25) == 0.25  # a listed name left unset keeps the site default
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -301,6 +303,31 @@ def test_malformed_tol_is_one_error_line(capsys):
     assert "--tol" in err and "name=value" in err
 
 
+def test_tolerance_names_are_the_names_the_suites_read():
+    read = set(re.findall(r'cfg\.tol\("(\w+)"', Path(cli.__file__).read_text()))
+    assert read == cli.TOLERANCE_NAMES
+
+
+def test_unknown_tol_override_is_one_error_line(tmp_path, capsys):
+    argv = ["run", "weights", "--tol", "weightz=5", "--out", str(tmp_path)]
+    assert _one_error_line(capsys, argv) == "focklab: error: --tol: unknown tolerance 'weightz'\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line", ["tol.nothing = 1", "tol. = 3"])
+def test_unknown_tol_config_key_is_one_error_line(tmp_path, capsys, line):
+    path = tmp_path / "cfg"
+    path.write_text(line + "\n")
+    out = tmp_path / "out"
+    err = _one_error_line(capsys, ["run", "weights", "--config", str(path), "--out", str(out)])
+    assert "unknown tolerance" in err and not out.exists()
+
+
+def test_run_config_refuses_an_unlisted_tolerance():
+    with pytest.raises(ValueError, match="unknown tolerance 'other'"):
+        cli.RunConfig().tol("other", 1.0)
+
+
 def test_malformed_levels_is_one_error_line(capsys):
     assert "--levels" in _one_error_line(capsys, ["run", "weights", "--levels", "a"])
 
@@ -320,7 +347,7 @@ def test_trunc_knob_is_gone(tmp_path, capsys):
     assert {"max_degree", "dim"}.isdisjoint(cli.RunConfig().report_fields())
 
 
-_NAME = st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+_NAME = st.sampled_from(sorted(cli.TOLERANCE_NAMES))
 
 
 @given(
@@ -403,6 +430,18 @@ def test_gw_cli_rejects_malformed_r_schedule(tmp_path, capsys, schedule):
     assert _one_error_line(capsys, argv).startswith("focklab: error: --r-schedule: ")
 
 
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_gw_cli_rejects_nodes_below_one(tmp_path, capsys, monkeypatch, nodes):
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))))
+    monkeypatch.setattr(cli.sg, "gw_mult", None)  # never reached
+    out = tmp_path / "gw.json"
+    argv = ["gw", "--function", str(fn), "--direction", "1.0,0.0", "--nodes", nodes,
+            "--out", str(out)]
+    assert _one_error_line(capsys, argv) == f"focklab: error: --nodes: must be >= 1, got {nodes}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--m", "--samples", "--workers"])
 def test_haar_test_cli_rejects_counts_below_one(capsys, monkeypatch, flag):
     monkeypatch.setattr(cli.uh, "haar_moment_report", None)  # never reached
@@ -431,3 +470,25 @@ def test_ftransform_cli_checks_the_norm_study_key_before_sampling(tmp_path, caps
             "--out", str(out)]
     assert _one_error_line(capsys, argv).startswith("focklab: error: --norm-study-key: ")
     assert not out.exists()
+
+
+# -- haar.reproducibility compares every estimated number ---------------------
+
+@pytest.mark.parametrize("change", [None, "stderr", "branch_events", "worst_defect"])
+def test_reproducibility_case_compares_stderrs_and_diagnostics(monkeypatch, change):
+    estimates, diagnostics = uh.sample_moments(2, 64, 5)
+    many = {name: dataclasses.replace(est) for name, est in estimates.items()}
+    many_diagnostics = dict(diagnostics)
+    if change == "stderr":
+        name = uh.MOMENT_NAMES[-1]
+        many[name] = dataclasses.replace(many[name], stderr=np.nextafter(many[name].stderr, 1.0))
+    elif change is not None:
+        many_diagnostics[change] += 1
+
+    def sample_moments(m, samples, seed, workers=1):
+        return (estimates, diagnostics) if workers == 1 else (many, many_diagnostics)
+
+    monkeypatch.setattr(cli.uh, "sample_moments", sample_moments)
+    case = cli._reproducibility_case(cli.RunConfig())
+    assert case.status == ("pass" if change is None else "fail")
+    assert (case.residual == 0.0) == (change is None)

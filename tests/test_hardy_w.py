@@ -124,11 +124,10 @@ def test_multiply_exp_series_coefficients():
     for n in range(SPEC.max_degree + 1):
         key = BasisKey.vacuum() if n == 0 else BasisKey.make((n,), (1,))
         assert out.fock.coeffs[key] == pytest.approx(1 / math.factorial(n))
-    assert out.overflow
     out2 = multiply_exp(_mono((1,), (2,)), EVector.basis(1, 3))
     assert out2.fock.coeffs[BasisKey.make((2, 1), (1, 2))] == pytest.approx(1 / 2)
     same = multiply_exp(_mono((1,), (2,)), EVector.zero(3))
-    assert residual(same, _mono((1,), (2,))) == 0.0 and not same.overflow
+    assert residual(same, _mono((1,), (2,))) == 0.0
 
 
 def test_multiply_matches_creation_route():

@@ -51,12 +51,6 @@ def test_creation_basis_action():
 def test_creation_zero_vector():
     op = creation(EVector.zero(3), 2, SPEC)
     assert op.blocks == {}
-    assert not op.dropped_overflow
-
-
-def test_creation_overflow_flag():
-    op = creation(EVector.basis(1, 3), 1, SPEC)
-    assert op.dropped_overflow  # the top degree always spills over
 
 
 def _creation_by_pairs(a, m, spec):
@@ -65,12 +59,10 @@ def _creation_by_pairs(a, m, spec):
     if all(c == 0 for c in a.coords):
         return op
     amp = tensor_power(a, m, spec) if m <= spec.max_degree else None
-    dropped = m > spec.max_degree
     if amp is not None:
         for src in range(spec.max_degree + 1):
             tgt = src + m
             if tgt > spec.max_degree:
-                dropped = True
                 continue
             src_keys = degree_basis(spec, src)
             tgt_keys = degree_basis(spec, tgt)
@@ -83,7 +75,6 @@ def _creation_by_pairs(a, m, spec):
                     merged = BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))
                     block[tgt_index[merged], j] += complex(aval)
             op.blocks[(src, tgt)] = block
-    op.dropped_overflow = dropped
     return op
 
 
@@ -96,10 +87,9 @@ def test_creation_equals_pairwise_reference_bitwise(spec):
     for a in (_rand(rng, spec.dim), signed, EVector.zero(spec.dim)):
         for m in range(1, spec.max_degree + 2):
             got, want = creation(a, m, spec), _creation_by_pairs(a, m, spec)
-            assert got.dropped_overflow == want.dropped_overflow
             assert list(got.blocks) == list(want.blocks)
             if a.norm() == 0:
-                assert got.blocks == {} and not got.dropped_overflow
+                assert got.blocks == {}
             for key, block in want.blocks.items():
                 assert got.blocks[key].tobytes() == block.tobytes()
 

@@ -37,7 +37,6 @@ def _neighbours(spec):
 def reference_mult_linear(c, a, spec):
     up, _ = _neighbours(spec)
     out = np.zeros_like(c)
-    overflow = False
     nz = np.flatnonzero(c)
     for k in range(spec.dim):
         weight = complex(a.coords[k]).conjugate()
@@ -46,9 +45,7 @@ def reference_mult_linear(c, a, spec):
         targets = up[nz, k]
         ok = targets >= 0
         np.add.at(out, targets[ok], weight * c[nz[ok]])
-        if np.any(~ok):
-            overflow = True
-    return out, overflow
+    return out
 
 
 def reference_derivative(c, a, spec):
@@ -92,10 +89,9 @@ def test_gather_kernels_match_scatter_loops(spec, density):
     for _ in range(3):
         c = _coefficients(spec, rng, density=density)
         a = _direction(spec, rng)
-        got, over = pc.apply_mult_linear(c, a, spec)
-        want, want_over = reference_mult_linear(c, a, spec)
+        got = pc.apply_mult_linear(c, a, spec)
         assert got.shape == c.shape
-        assert _close(got, want, c) and over == want_over
+        assert _close(got, reference_mult_linear(c, a, spec), c)
         got = pc.apply_derivative(c, a, spec)
         assert got.shape == c.shape
         assert _close(got, reference_derivative(c, a, spec), c)
@@ -108,21 +104,18 @@ def test_column_kernels_match_scatter_loops_per_column(spec, density):
     columns = 5
     c = _coefficients(spec, rng, columns, density)
     directions = np.column_stack([_direction(spec, rng).coords for _ in range(columns)])
-    got, over = pc.apply_mult_linear(c, directions, spec)
-    overflow = False
+    got = pc.apply_mult_linear(c, directions, spec)
     for j in range(columns):
-        want, want_over = reference_mult_linear(c[:, j], EVector(directions[:, j]), spec)
+        want = reference_mult_linear(c[:, j], EVector(directions[:, j]), spec)
         assert _close(got[:, j], want, c[:, j])
-        overflow = overflow or want_over
-    assert over == overflow
     got = pc.apply_derivative(c, directions, spec)
     for j in range(columns):
         want = reference_derivative(c[:, j], EVector(directions[:, j]), spec)
         assert _close(got[:, j], want, c[:, j])
     # one direction for every column
     a = EVector(directions[:, 0])
-    got, _ = pc.apply_mult_linear(c, a, spec)
-    assert _close(got[:, 2], reference_mult_linear(c[:, 2], a, spec)[0], c[:, 2])
+    got = pc.apply_mult_linear(c, a, spec)
+    assert _close(got[:, 2], reference_mult_linear(c[:, 2], a, spec), c[:, 2])
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -131,35 +124,12 @@ def test_flows_run_each_column_on_its_own(spec):
     c = _coefficients(spec, rng, 3, 0.3)
     directions = 0.5 * np.column_stack([_direction(spec, rng).coords for _ in range(3)])
     directions[:, 1] = 0.0
-    mult, over = pc.apply_exp_mult(c, directions, spec)
+    mult = pc.apply_exp_mult(c, directions, spec)
     shifted = pc.apply_shift(c, directions, spec)
     for j in range(3):
         a = EVector(directions[:, j])
-        want, want_over = pc.apply_exp_mult(c[:, j], a, spec)
-        assert np.array_equal(mult[:, j], want)
+        assert np.array_equal(mult[:, j], pc.apply_exp_mult(c[:, j], a, spec))
         assert np.array_equal(shifted[:, j], pc.apply_shift(c[:, j], a, spec))
-    assert over
-
-
-def test_overflow_flag_matches_scatter_loops():
-    spec = SPECS[0]
-    tab = pc.table(spec)
-    rng = np.random.default_rng(11)
-    top = tab.degree == spec.max_degree
-    full = _coefficients(spec, rng)
-    below = full * ~top
-    a = _direction(spec, rng)
-    zero = EVector.zero(spec.dim)
-    for c, direction, expected in ((full, a, True), (full, zero, False), (below, a, False)):
-        assert pc.apply_mult_linear(c, direction, spec)[1] is expected
-        assert reference_mult_linear(c, direction, spec)[1] is expected
-    # column 0 has top-degree mass but no direction, column 1 a direction but
-    # no top-degree mass: no column overflows
-    c = np.column_stack([full, below])
-    directions = np.column_stack([zero.coords, a.coords])
-    assert pc.apply_mult_linear(c, directions, spec)[1] is False
-    directions[:, 0] = a.coords
-    assert pc.apply_mult_linear(c, directions, spec)[1] is True
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -178,16 +148,14 @@ def gather_flow(c, spec, depth, steps):
     wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
     x = np.zeros(pc.table(wide).size(), dtype=complex)
     x[: len(c)] = c
-    overflow = False
     for kind, vec in steps:
         if kind == "shift":
             x = pc.apply_shift(x, vec, wide)
         elif kind == "mult":
-            x, over = pc.apply_exp_mult(x, vec, wide)
-            overflow = overflow or over
+            x = pc.apply_exp_mult(x, vec, wide)
         else:
             x = x * complex(vec)
-    return x[: len(c)], overflow
+    return x[: len(c)]
 
 
 def _steps(dim, rng, kinds, scale=0.6, sparse=False):
@@ -204,11 +172,10 @@ def _steps(dim, rng, kinds, scale=0.6, sparse=False):
 
 
 def _assert_flows_agree(c, spec, depth, steps):
-    got, over = pc._flow_at(c, spec, depth, steps)
-    want, want_over = gather_flow(c, spec, depth, steps)
+    got = pc._flow_at(c, spec, depth, steps)
+    want = gather_flow(c, spec, depth, steps)
     assert got.shape == c.shape
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-    assert over == want_over
 
 
 @settings(max_examples=60, deadline=None)

@@ -156,12 +156,10 @@ def _node_by_node(f, a, r, flow):
     """Sum over the Gauss-Hermite nodes of flow(f, a 2 sqrt(r) x_i) w_i / sqrt(pi)."""
     x, w = hermite_rule(64)
     total = 0.0
-    overflow = False
     for xi, wi in zip(x, w):
         term = flow(f, a.scale(2.0 * math.sqrt(r) * xi))
-        overflow = overflow or term.overflow
         total = total + term.coefficients() * (wi / math.sqrt(math.pi))
-    return total, overflow
+    return total
 
 
 @pytest.mark.parametrize("r", [0.1, 1.0])
@@ -172,23 +170,20 @@ def test_batched_quadrature_equals_node_by_node(r, degree):
     for a in (random_evector(3, rng, 0.8), EVector.zero(3)):
         for quadrature, flow in ((gw_mult, multiply_exp), (gw_shift_quadrature, shift)):
             got = quadrature(f, a, r)
-            want, overflow = _node_by_node(f, a, r, flow)
+            want = _node_by_node(f, a, r, flow)
             gap = np.linalg.norm(got.coefficients() - want)
             assert gap <= 1e-12 * np.linalg.norm(want)
-            assert got.overflow == overflow
 
 
 def _series_term_by_term(f, a, r, generator):
-    """Sum of r^k / k! G^(2k) f, one HardyWFunction per term, overflow flags
-    carried through each term (the dict-based form of both series)."""
+    """Sum of r^k / k! G^(2k) f, one HardyWFunction per term (the dict-based
+    form of both series)."""
     out = f
     term = f
-    overflow = f.overflow
     for k in range(1, f.spec.max_degree // 2 + 1):
         term = generator(generator(term, a), a)
-        overflow = overflow or term.overflow
-        term = HardyWFunction(term.fock.scale(r / k), term.pairing, term.overflow)
-        out = HardyWFunction(out.fock + term.fock, f.pairing, overflow)
+        term = HardyWFunction(term.fock.scale(r / k), term.pairing)
+        out = HardyWFunction(out.fock + term.fock, f.pairing)
     return out
 
 
@@ -205,8 +200,8 @@ def test_dense_series_equal_term_by_term(r, pairing, degree):
             want = _series_term_by_term(f, a, r, generator)
             gap = np.linalg.norm(got.coefficients() - want.coefficients())
             assert gap <= 1e-12 * max(np.linalg.norm(want.coefficients()), 1.0)
-            assert (got.pairing, got.overflow) == (want.pairing, want.overflow)
+            assert got.pairing == want.pairing
     short = TruncationSpec(1, 2)
-    g = HardyWFunction(FockVector.basis(short, BasisKey.make((1,), (2,)), 2.0), pairing, True)
+    g = HardyWFunction(FockVector.basis(short, BasisKey.make((1,), (2,)), 2.0), pairing)
     for series in (gw_mult_oracle, gw_shift):
         assert series(g, EVector((1.0, 0.5)), r) == g
