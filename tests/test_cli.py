@@ -2,16 +2,14 @@
 
 import dataclasses
 import json
-import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from focklab import cli
+from focklab import cli, suites
 from focklab import unitary_haar as uh
 from focklab.fock_core import FockVector, TruncationSpec
 from focklab.hardy_chi import HardyChiFunction
@@ -303,9 +301,34 @@ def test_malformed_tol_is_one_error_line(capsys):
     assert "--tol" in err and "name=value" in err
 
 
-def test_tolerance_names_are_the_names_the_suites_read():
-    read = set(re.findall(r'cfg\.tol\("(\w+)"', Path(cli.__file__).read_text()))
-    assert read == cli.TOLERANCE_NAMES
+def test_tolerance_names_are_pinned():
+    # the names users may override; dropping one from CASES must be deliberate
+    assert cli.TOLERANCE_NAMES == {
+        "annihilation", "chain", "coherent", "commutator", "conjugation", "contractivity",
+        "finite_difference", "group", "growth", "gw", "gw_zero", "hs", "intertwine", "isometry",
+        "kernel", "leibniz", "moment", "pointwise", "polarization", "product", "quat", "route",
+        "unitarity", "weyl", "weyl_group", "witness",
+    }
+
+
+def test_run_config_rejects_an_unknown_tolerance_name():
+    with pytest.raises(ValueError, match="unknown tolerance 'nothing'"):
+        cli.RunConfig(tolerances=(("nothing", 1.0),))
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_run_suite_requires_exactly_the_declared_cases(monkeypatch, change):
+    def weights(cfg):
+        residuals, studies = suites.suite_weights(cfg)
+        if change == "drop":
+            del residuals["weights.spot"]
+        else:
+            residuals["weights.extra"] = 0.0
+        return residuals, studies
+
+    monkeypatch.setitem(suites.SUITE_RUNNERS, "weights", weights)
+    with pytest.raises(RuntimeError, match="weights.spot" if change == "drop" else "weights.extra"):
+        cli.run_suite("weights", cli.RunConfig())
 
 
 def test_unknown_tol_override_is_one_error_line(tmp_path, capsys):
@@ -489,6 +512,7 @@ def test_reproducibility_case_compares_stderrs_and_diagnostics(monkeypatch, chan
         return (estimates, diagnostics) if workers == 1 else (many, many_diagnostics)
 
     monkeypatch.setattr(cli.uh, "sample_moments", sample_moments)
-    case = cli._reproducibility_case(cli.RunConfig())
+    cfg = cli.RunConfig()
+    case = suites.declared_case("haar.reproducibility", suites._reproducibility_residual(cfg), cfg)
     assert case.status == ("pass" if change is None else "fail")
     assert (case.residual == 0.0) == (change is None)
