@@ -317,10 +317,6 @@ def inner(kind: str, psi: FockVector, phi: FockVector):
     return complex(np.dot(a * b.conj(), weights))
 
 
-def _multinomial(n: int, diagram: YoungDiagram) -> int:
-    return math.factorial(n) // diagram.factorial()
-
-
 def tensor_power(x: EVector, n: int, spec: TruncationSpec) -> FockVector:
     """n-fold tensor power of x, expanded over canonical keys.
 
@@ -329,44 +325,46 @@ def tensor_power(x: EVector, n: int, spec: TruncationSpec) -> FockVector:
     """
     if n > spec.max_degree:
         raise TruncationOverflowError(f"degree {n} exceeds cap {spec.max_degree}")
+    return FockVector(spec, power_coefficients(x, spec, n, n))
+
+
+@lru_cache(maxsize=None)
+def _power_table(lo: int, hi: int, dim: int, live: tuple[int, ...]) -> tuple:
+    """The rows of degrees lo..hi that use only the coordinates ``live``, as
+    positions after the first degree-lo row of ``layout``; for each live
+    coordinate, which of them use it and with what exponent; and n!/e!."""
+    rows = layout(TruncationSpec(hi, dim))
+    exps = rows.exponents[rows.offsets[lo]:]
+    on = np.flatnonzero(~np.delete(exps, live, axis=1).any(axis=1))
+    exps = exps[on]
+    factors = [(np.flatnonzero(exps[:, k]), exps[exps[:, k] > 0, k]) for k in live]
+    multinomial = [math.factorial(sum(e)) // math.prod(map(math.factorial, e))
+                   for e in exps.tolist()]
+    return on, factors, np.array(multinomial, dtype=object)
+
+
+def power_coefficients(x: EVector, spec: TruncationSpec, lo: int, hi: int) -> np.ndarray:
+    """The tensor powers of x of degrees lo..hi on their rows of ``layout(spec)``.
+
+    A row of degree n >= 1 holds n!/e! times ``math.prod`` of x_k ** e_k over
+    its nonzero exponents, or 0 if it uses a zero coordinate.  The products
+    run on Python objects, so they round as Python's do (numpy's complex
+    product may fuse a multiply-add).
+    """
     if x.dim != spec.dim:
         raise ValueError("dimension mismatch")
-    exact = _exact(x.coords)
-    out = np.zeros(layout(spec).size, dtype=object if exact else complex)
-    support = tuple(i for i, c in enumerate(x.coords) if c != 0)
-    if n == 0:
+    rows, exact = layout(spec), _exact(x.coords)
+    out = np.zeros(rows.size, dtype=object if exact else complex)
+    live = tuple(k for k, c in enumerate(x.coords) if c != 0)
+    on, factors, multinomial = _power_table(lo, hi, x.dim, live)
+    value = np.ones(len(on), dtype=object)
+    for k, (used, exponent) in zip(live, factors):
+        powers = np.array([x.coords[k] ** e for e in range(hi + 1)], dtype=object)
+        value[used] = value[used] * powers[exponent]
+    out[rows.offsets[lo] + on] = value * multinomial
+    if lo == 0:
         out[0] = Fraction(1) if exact else 1.0
-    elif support:
-        for row, factors, multinomial in _power_terms(n, support, spec.dim):
-            out[row] = math.prod(x.coords[pos] ** count for pos, count in factors) * multinomial
-    return FockVector(spec, out)
-
-
-@lru_cache(maxsize=None)
-def _power_terms(n: int, support: tuple[int, ...], dim: int) -> tuple:
-    """(row, ((position, count), ...), n!/diagram!) for each degree-n monomial
-    on ``support``; the row is the key's row in every workspace of degree >= n."""
-    index = layout(TruncationSpec(n, dim)).index
-    out = []
-    for combo in _compositions(n, len(support)):
-        exps = [0] * dim
-        for count, pos in zip(combo, support):
-            exps[pos] = count
-        key = BasisKey.from_exponents(exps)
-        factors = tuple((pos, count) for count, pos in zip(combo, support) if count)
-        out.append((index[key], factors, _multinomial(n, key.diagram)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _compositions(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    if k == 1:
-        return ((n,),)
-    out = []
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    return out
 
 
 def exponential_vector(x: EVector, spec: TruncationSpec) -> FockVector:
@@ -376,10 +374,11 @@ def exponential_vector(x: EVector, spec: TruncationSpec) -> FockVector:
     divided by the diagram factorial.
     """
     exact = _exact(x.coords)
-    out = 0
+    out = power_coefficients(x, spec, 0, spec.max_degree)
     for n in range(spec.max_degree + 1):
         scale = Fraction(1, math.factorial(n)) if exact else 1.0 / math.factorial(n)
-        out = out + tensor_power(x, n, spec).array * scale
+        # 0 + maps -0.0 to +0.0, as in the sum of the degree components
+        out[layout(spec).rows(n)] = 0 + out[layout(spec).rows(n)] * scale
     return FockVector(spec, out)
 
 

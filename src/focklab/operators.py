@@ -5,9 +5,9 @@ on the rows of one degree of the workspace layout.  Adjoints are computed
 from the block matrices and the diagonal Gram of the chosen inner product, so
 the closed-form annihilation action on monomials stays available as an
 independent oracle.
-The merge structure of a creation block (which target key each pair of a
-source key and an amplitude key lands on) is cached per (spec, source
-degree, order) and does not depend on the amplitude vector.
+Each creation block is one gather from one amplitude array, through a table
+cached per (spec, source degree, order); the exponential groups write the
+blocks of every order into one dict.
 """
 
 from __future__ import annotations
@@ -26,17 +26,13 @@ from .fock_core import (
     GRAM_W,
     TruncationSpec,
     layout,
+    power_coefficients,
     tensor_power,
 )
-from .partitions import BasisKey, degree_keys
 
 MONOMIAL = "monomial"
 W_ADJOINT = "w_adjoint"
 VARIANTS = (MONOMIAL, W_ADJOINT)
-
-
-def degree_basis(spec: TruncationSpec, n: int) -> tuple[BasisKey, ...]:
-    return degree_keys(n, spec.dim) if n <= spec.max_degree else ()
 
 
 @dataclass
@@ -56,10 +52,6 @@ class OperatorMatrix:
         sizes = np.diff(layout(spec).offsets)
         return cls(spec, {(n, n): np.eye(size, dtype=complex) for n, size in enumerate(sizes)})
 
-    @classmethod
-    def zero(cls, spec: TruncationSpec) -> "OperatorMatrix":
-        return cls(spec, {})
-
     def apply(self, v: FockVector) -> FockVector:
         """Each block maps the source-degree rows of v into the target-degree rows."""
         if v.spec != self.spec:
@@ -77,26 +69,16 @@ class OperatorMatrix:
         """self after other."""
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
+        by_src: dict = {}
+        for (mid, tgt), b_self in self.blocks.items():
+            by_src.setdefault(mid, []).append((tgt, b_self))
         blocks: dict = {}
         for (src, mid), b_other in other.blocks.items():
-            for (mid2, tgt), b_self in self.blocks.items():
-                if mid2 != mid:
-                    continue
+            for tgt, b_self in by_src.get(mid, ()):
                 acc = blocks.get((src, tgt))
                 prod = b_self @ b_other
                 blocks[(src, tgt)] = prod if acc is None else acc + prod
         return OperatorMatrix(self.spec, blocks)
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.spec != other.spec:
-            raise ValueError("spec mismatch")
-        blocks = {k: b.copy() for k, b in self.blocks.items()}
-        for k, b in other.blocks.items():
-            blocks[k] = blocks[k] + b if k in blocks else b.copy()
-        return OperatorMatrix(self.spec, blocks)
-
-    def scale(self, s: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.spec, {k: s * b for k, b in self.blocks.items()})
 
     def max_block_difference(self, other: "OperatorMatrix") -> float:
         """Largest entry-wise deviation between two operators."""
@@ -106,25 +88,44 @@ class OperatorMatrix:
 
 
 @lru_cache(maxsize=None)
-def _merge_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
-    """Target rows of creation block (src, src+m), one per (source key, amplitude key).
-
-    Entry [j, k] is the position in the degree-(src+m) basis of the key whose
-    exponents are those of source key j plus those of degree-m key k.
+def _gather_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
+    """Amplitude rows read by creation block (src, src+m): entry [i, j] is
+    the ``layout(spec)`` row of the degree-m key whose exponents are target
+    key i's minus source key j's, or ``layout(spec).size`` (an appended zero)
+    where that difference has a negative exponent; keys compare as bytes.
     """
-    index, first = layout(spec).index, layout(spec).rows(src + m).start
-    amp_exps = [k.exponents(spec.dim) for k in degree_basis(spec, m)]
-    rows = []
-    for key in degree_basis(spec, src):
-        exps = key.exponents(spec.dim)
-        rows.append([index[BasisKey.from_exponents(tuple(x + y for x, y in zip(exps, aexp)))]
-                     - first for aexp in amp_exps])
-    # distinct amplitude keys land on distinct targets of one source column,
-    # so one scatter per block writes every entry at most once
-    assert all(len(set(row)) == len(row) for row in rows)
-    table = np.array(rows, dtype=np.intp)
+    rows, void = layout(spec), f"V{8 * spec.dim}"
+    exps = rows.exponents
+    diff = exps[rows.rows(src + m), None] - exps[None, rows.rows(src)]
+    inside = (diff >= 0).all(axis=2)
+    known = exps[rows.rows(m)].view(void).ravel()
+    order = np.argsort(known)
+    table = np.full(inside.shape, rows.size, dtype=np.intp)
+    wanted = diff[inside].view(void).ravel()
+    table[inside] = order[np.searchsorted(known[order], wanted)] + rows.offsets[m]
     table.flags.writeable = False
     return table
+
+
+def _creation_blocks(a: EVector, spec: TruncationSpec, lo: int, hi: int,
+                     scaled: bool = False) -> dict:
+    """Blocks (src, src+m) of creation(a, m) for m = lo..hi within the cap,
+    order by order; ``scaled`` divides order m by m!.  Each block is one
+    gather from one amplitude array."""
+    if a.dim != spec.dim:
+        raise ValueError("dimension mismatch")
+    hi = min(hi, spec.max_degree)
+    if lo > hi or not any(a.coords):
+        return {}
+    rows = layout(spec)
+    amp = np.zeros(rows.size + 1, dtype=complex)
+    # accumulating into zeros maps a -0.0 amplitude to +0.0
+    amp[:-1] += power_coefficients(a, spec, lo, hi).astype(complex, copy=False)
+    if scaled:
+        for m in range(lo, hi + 1):
+            amp[rows.rows(m)] = (1.0 / math.factorial(m)) * amp[rows.rows(m)]
+    return {(src, src + m): amp[_gather_table(spec, src, m)]
+            for m in range(lo, hi + 1) for src in range(spec.max_degree - m + 1)}
 
 
 def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
@@ -136,20 +137,7 @@ def creation(a: EVector, m: int, spec: TruncationSpec) -> OperatorMatrix:
     """
     if m < 1:
         raise ValueError("order m must be >= 1")
-    if a.dim != spec.dim:
-        raise ValueError("dimension mismatch")
-    op = OperatorMatrix.zero(spec)
-    if all(c == 0 for c in a.coords) or m > spec.max_degree:
-        return op
-    # adding to zeros maps a -0.0 amplitude to +0.0, as accumulating into a
-    # zero block does
-    amp = 0.0 + tensor_power(a, m, spec).array[layout(spec).rows(m)].astype(complex, copy=False)
-    for src in range(spec.max_degree - m + 1):
-        table = _merge_table(spec, src, m)
-        block = np.zeros((len(degree_basis(spec, src + m)), table.shape[0]), dtype=complex)
-        block[table, np.arange(table.shape[0])[:, None]] = amp
-        op.blocks[(src, src + m)] = block
-    return op
+    return OperatorMatrix(spec, _creation_blocks(a, spec, m, m))
 
 
 def adjoint(kind: str, T: OperatorMatrix) -> OperatorMatrix:
@@ -181,8 +169,7 @@ def exp_creation(a: EVector, spec: TruncationSpec) -> OperatorMatrix:
     dropped block feeds back below the cap).
     """
     op = OperatorMatrix.identity(spec)
-    for m in range(1, spec.max_degree + 1):
-        op = op + creation(a, m, spec).scale(1.0 / math.factorial(m))
+    op.blocks.update(_creation_blocks(a, spec, 1, spec.max_degree, scaled=True))
     return op
 
 
@@ -195,11 +182,10 @@ def exp_annihilation(a: EVector, spec: TruncationSpec, variant: str) -> Operator
     The two differ; a pinned witness lives in the test suite.
     """
     if variant == MONOMIAL:
+        created = OperatorMatrix(spec, _creation_blocks(a, spec, 1, spec.max_degree))
         op = OperatorMatrix.identity(spec)
-        for m in range(1, spec.max_degree + 1):
-            op = op + adjoint(GRAM_H, creation(a, m, spec)).scale(
-                1.0 / math.factorial(m)
-            )
+        op.blocks.update({(src, tgt): (1.0 / math.factorial(src - tgt)) * block
+                          for (src, tgt), block in adjoint(GRAM_H, created).blocks.items()})
         return op
     if variant == W_ADJOINT:
         return adjoint(GRAM_W, exp_creation(a, spec))

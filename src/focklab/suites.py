@@ -194,8 +194,11 @@ class RunConfig:
     out: str = "reports"
 
     def __post_init__(self):
-        for name, _ in self.tolerances:
+        # one spelling per set of overrides: sorted, the last of a name wins
+        tolerances = tuple(sorted(dict(self.tolerances).items()))
+        for name, _ in tolerances:
             _tolerance_name(name)
+        object.__setattr__(self, "tolerances", tolerances)
 
     def tol(self, name: str, default: float) -> float:
         return dict(self.tolerances).get(_tolerance_name(name), default)

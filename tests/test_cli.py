@@ -311,6 +311,25 @@ def test_tolerance_names_are_pinned():
     }
 
 
+def test_tolerance_spelling_does_not_change_the_config_hash(tmp_path):
+    # reordered entries and a repeated name (the last one wins) are one config
+    spellings = [(("gw", 2.0), ("moment", 1.0)), (("moment", 1.0), ("gw", 2.0)),
+                 (("gw", 1.0), ("gw", 2.0), ("moment", 1.0))]
+    configs = [cli.RunConfig(tolerances=t) for t in spellings]
+    assert {cfg.tolerances for cfg in configs} == {(("gw", 2.0), ("moment", 1.0))}
+    assert {cfg.digest() for cfg in configs} == {configs[0].digest()}
+    path = tmp_path / "cfg"
+    path.write_text("tol.moment = 1.0\ntol.gw = 2.0\n")
+    assert cli.load_config(str(path)).digest() == configs[0].digest()
+
+
+def test_python_dash_m_focklab_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "focklab", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: focklab")
+
+
 def test_run_config_rejects_an_unknown_tolerance_name():
     with pytest.raises(ValueError, match="unknown tolerance 'nothing'"):
         cli.RunConfig(tolerances=(("nothing", 1.0),))

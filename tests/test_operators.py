@@ -1,6 +1,8 @@
 """Creation/annihilation operators, adjoints, and the exponential groups."""
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -24,13 +26,12 @@ from focklab.operators import (
     adjoint,
     annihilation_monomial,
     creation,
-    degree_basis,
     exp_annihilation,
     exp_creation,
     export_blocks,
     load_blocks,
 )
-from focklab.partitions import BasisKey
+from focklab.partitions import BasisKey, degree_keys
 
 SPEC = TruncationSpec(6, 3)
 
@@ -53,9 +54,13 @@ def test_creation_zero_vector():
     assert op.blocks == {}
 
 
+def _degree_basis(spec, n):
+    return degree_keys(n, spec.dim) if n <= spec.max_degree else ()
+
+
 def _creation_by_pairs(a, m, spec):
     """Reference assembly: merge every (source key, amplitude key) pair afresh."""
-    op = OperatorMatrix.zero(spec)
+    op = OperatorMatrix(spec)
     if all(c == 0 for c in a.coords):
         return op
     amp = tensor_power(a, m, spec) if m <= spec.max_degree else None
@@ -64,8 +69,8 @@ def _creation_by_pairs(a, m, spec):
             tgt = src + m
             if tgt > spec.max_degree:
                 continue
-            src_keys = degree_basis(spec, src)
-            tgt_keys = degree_basis(spec, tgt)
+            src_keys = _degree_basis(spec, src)
+            tgt_keys = _degree_basis(spec, tgt)
             tgt_index = {k: i for i, k in enumerate(tgt_keys)}
             block = np.zeros((len(tgt_keys), len(src_keys)), dtype=complex)
             for j, key in enumerate(src_keys):
@@ -304,16 +309,16 @@ _ENTRY = st.complex_numbers(allow_nan=True, allow_infinity=True) | st.sampled_fr
 
 
 @st.composite
-def _operators(draw):
-    spec = TruncationSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+def _operators(draw, entries=_ENTRY, spec=None):
+    spec = spec or TruncationSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
     sizes = np.diff(layout(spec).offsets).tolist()
     pairs = st.tuples(*[st.integers(0, spec.max_degree)] * 2)
     blocks = {}
     for src, tgt in draw(st.lists(pairs, max_size=4, unique=True)):
         shape = (sizes[tgt], sizes[src])
-        entries = draw(st.lists(_ENTRY, min_size=shape[0] * shape[1],
-                                max_size=shape[0] * shape[1]))
-        blocks[(src, tgt)] = np.array(entries, dtype=complex).reshape(shape)
+        values = draw(st.lists(entries, min_size=shape[0] * shape[1],
+                               max_size=shape[0] * shape[1]))
+        blocks[(src, tgt)] = np.array(values, dtype=complex).reshape(shape)
     return OperatorMatrix(spec, blocks)
 
 
@@ -326,3 +331,142 @@ def test_export_load_round_trip_is_bitwise(tmp_path_factory, op):
     for key, block in op.blocks.items():
         assert back.blocks[key].shape == block.shape
         assert back.blocks[key].tobytes() == block.tobytes()
+
+
+# -- bitwise pins of the gather-built assembly --------------------------------
+
+
+@lru_cache(maxsize=None)
+def _merge_rows(spec, src, m):
+    """[j, k]: position in the degree-(src+m) basis of source key j merged with
+    degree-m key k, found by ``BasisKey.from_exponents``."""
+    targets = {key: i for i, key in enumerate(_degree_basis(spec, src + m))}
+    return np.array([[targets[BasisKey.from_exponents(tuple(
+        x + y for x, y in zip(key.exponents(spec.dim), akey.exponents(spec.dim))))]
+        for akey in _degree_basis(spec, m)] for key in _degree_basis(spec, src)],
+        dtype=np.intp).reshape(-1, len(_degree_basis(spec, m)))
+
+
+def _scatter_creation(a, m, spec):
+    """creation(a, m) as zero blocks filled by one scatter each."""
+    if all(c == 0 for c in a.coords) or m > spec.max_degree:
+        return {}
+    amp = 0.0 + tensor_power(a, m, spec).array[layout(spec).rows(m)].astype(complex)
+    blocks = {}
+    for src in range(spec.max_degree - m + 1):
+        table = _merge_rows(spec, src, m)
+        block = np.zeros((len(_degree_basis(spec, src + m)), table.shape[0]), dtype=complex)
+        block[table, np.arange(table.shape[0])[:, None]] = amp
+        blocks[(src, src + m)] = block
+    return blocks
+
+
+def _scatter_reference(a, spec):
+    """Creation blocks of every order, exp_creation and the two exp_annihilation
+    variants, each exponential as the identity plus order after order of
+    scaled scatter-built blocks."""
+    created = {m: _scatter_creation(a, m, spec) for m in range(1, spec.max_degree + 2)}
+    exp_c = OperatorMatrix.identity(spec).blocks
+    exp_mono = OperatorMatrix.identity(spec).blocks
+    for m in range(1, spec.max_degree + 1):
+        s = 1.0 / math.factorial(m)
+        exp_c.update({k: s * b for k, b in created[m].items()})
+        exp_mono.update({k: s * b for k, b in
+                         adjoint(GRAM_H, OperatorMatrix(spec, created[m])).blocks.items()})
+    exp_w = adjoint(GRAM_W, OperatorMatrix(spec, exp_c)).blocks
+    return created, exp_c, exp_mono, exp_w
+
+
+def _same_bits(got, want):
+    assert list(got) == list(want)
+    for key, block in want.items():
+        assert got[key].shape == block.shape
+        assert got[key].tobytes() == block.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_degree", range(7))
+def test_gather_assembly_equals_the_scatter_reference_bitwise(max_degree, dim):
+    spec = TruncationSpec(max_degree, dim)
+    generic = _rand(np.random.default_rng(10 * max_degree + dim), dim)
+    amplitudes = (
+        generic,
+        EVector((0j,) + generic.coords[1:]),
+        EVector(tuple(complex(-0.0, z.imag) if k % 2 else complex(z.real, -0.0)
+                      for k, z in enumerate(generic.coords))),
+        EVector((-0.0,) + tuple(z.real for z in generic.coords[1:])),
+        EVector.zero(dim),
+    )
+    for a in amplitudes:
+        created, exp_c, exp_mono, exp_w = _scatter_reference(a, spec)
+        for m, blocks in created.items():
+            _same_bits(creation(a, m, spec).blocks, blocks)
+        _same_bits(exp_creation(a, spec).blocks, exp_c)
+        _same_bits(exp_annihilation(a, spec, MONOMIAL).blocks, exp_mono)
+        _same_bits(exp_annihilation(a, spec, W_ADJOINT).blocks, exp_w)
+
+
+def _compose_all_pairs(left, right):
+    """left after right, testing every pair of blocks for a shared degree."""
+    blocks = {}
+    for (src, mid), b_right in right.blocks.items():
+        for (mid2, tgt), b_left in left.blocks.items():
+            if mid2 != mid:
+                continue
+            acc = blocks.get((src, tgt))
+            prod = b_left @ b_right
+            blocks[(src, tgt)] = prod if acc is None else acc + prod
+    return blocks
+
+
+_FINITE = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False) | (
+    st.sampled_from([complex(-0.0, 1.0), complex(-0.0, -0.0)]))
+
+
+@st.composite
+def _operator_pairs(draw):
+    right = draw(_operators(_FINITE))
+    return draw(_operators(_FINITE, right.spec)), right
+
+
+@given(_operator_pairs())
+def test_compose_equals_the_all_pairs_loop_bitwise(pair):
+    left, right = pair
+    _same_bits(left.compose(right).blocks, _compose_all_pairs(left, right))
+
+
+def _power_by_monomials(x, n, spec):
+    """tensor_power row by row: math.prod of the powers on the key's
+    coordinates times n!/diagram!, and 0 on a key that uses a zero coordinate."""
+    exact = any(isinstance(c, Fraction) for c in x.coords)
+    out = np.zeros(layout(spec).size, dtype=object if exact else complex)
+    if n == 0:
+        out[0] = Fraction(1) if exact else 1.0
+    for row, key in enumerate(layout(spec).keys):
+        exps = key.exponents(spec.dim)
+        if n and key.degree() == n and all(x.coords[k] != 0 for k, e in enumerate(exps) if e):
+            out[row] = (math.prod(x.coords[k] ** e for k, e in enumerate(exps) if e)
+                        * (math.factorial(n) // key.diagram.factorial()))
+    return out
+
+
+_COORD = (st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+          | st.floats(-10, 10) | st.sampled_from([0.0, -0.0, 0j, complex(-0.0, -0.0)]))
+
+
+@given(st.integers(1, 4), st.integers(0, 8), st.data())
+def test_tensor_power_equals_the_per_monomial_product(dim, n, data):
+    x = EVector(data.draw(st.lists(_COORD, min_size=dim, max_size=dim)))
+    spec = TruncationSpec(n + data.draw(st.integers(0, 2)), dim)
+    got, want = tensor_power(x, n, spec).array, _power_by_monomials(x, n, spec)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+def test_exact_tensor_power_equals_the_per_monomial_product(dim, n, data):
+    coord = st.fractions(-3, 3, max_denominator=7) | st.integers(-2, 2)
+    x = EVector([Fraction(1, 2)] + data.draw(st.lists(coord, min_size=dim - 1, max_size=dim - 1)))
+    spec = TruncationSpec(n, dim)
+    got, want = tensor_power(x, n, spec).array, _power_by_monomials(x, n, spec)
+    assert got.dtype == object and list(got) == list(want)
+    assert [type(v) for v in got] == [type(v) for v in want]
