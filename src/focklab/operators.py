@@ -49,8 +49,8 @@ class OperatorMatrix:
 
     @classmethod
     def identity(cls, spec: TruncationSpec) -> "OperatorMatrix":
-        sizes = np.diff(layout(spec).offsets)
-        return cls(spec, {(n, n): np.eye(size, dtype=complex) for n, size in enumerate(sizes)})
+        """The identity, in a fresh dict of the cached read-only blocks."""
+        return cls(spec, dict(_identity_blocks(spec)))
 
     def apply(self, v: FockVector) -> FockVector:
         """Each block maps the source-degree rows of v into the target-degree rows."""
@@ -85,6 +85,15 @@ class OperatorMatrix:
         gaps = (np.abs(self.blocks.get(k, 0) - other.blocks.get(k, 0)).max(initial=0.0)
                 for k in set(self.blocks) | set(other.blocks))
         return float(max(gaps, default=0.0))
+
+
+@lru_cache(maxsize=None)
+def _identity_blocks(spec: TruncationSpec) -> dict:
+    blocks = {}
+    for n, size in enumerate(np.diff(layout(spec).offsets)):
+        blocks[(n, n)] = np.eye(size, dtype=complex)
+        blocks[(n, n)].flags.writeable = False
+    return blocks
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,15 @@ Fock vector into monomial coefficients:
 Shifts, multiplications and derivatives are literal polynomial operations
 on the coefficients, exact up to roundoff inside the truncation, by two
 routes that the suites check against each other.  The public kernels sum the
-exponential series of the generator by neighbour gathers; single operations,
-the series oracles and the quadrature run on them.  The step lists of
-``_wide_flow`` (the Weyl operators and their residuals) run on fibres, one
-small triangular matrix per coordinate.  Every kernel returns the coefficient
-array alone and drops what a product pushes past the cap; the wide flows
-guard against that loss with their margin and tail probe, and building a
-vector beyond the cap raises ``TruncationOverflowError``.
+exponential series of the generator by neighbour gathers, term m on the rows
+of the degrees it can reach; single operations, the series oracles and the
+quadrature run on them.  The step lists of ``_wide_flow`` (the Weyl operators
+and their residuals) run on fibres, one small triangular matrix per
+coordinate, with the state kept in the fibre order of the last axis.  Every
+kernel returns the coefficient array alone and drops what a product pushes
+past the cap; the wide flows guard against that loss with their margin and
+tail probe, and building a vector beyond the cap raises
+``TruncationOverflowError``.
 """
 
 from __future__ import annotations
@@ -109,52 +111,74 @@ def _direction(a) -> np.ndarray:
     return np.asarray(a.coords if isinstance(a, EVector) else a, dtype=complex)
 
 
-def _gather(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power=None):
-    """Sum over k of weights[k] (times power[:, k]) times c at neighbour[:, k]."""
+def _gather(padded: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, rows: slice,
+            power=None) -> np.ndarray:
+    """Sum over k of weights[k] (times power[rows, k]) times ``padded`` at
+    neighbour[rows, k]; ``padded`` is (size + 1, n) with a zero last row."""
+    # (1, n) factors: an (n,) one times a single row runs another numpy loop,
+    # whose complex products can differ in the last bit
+    columns = weights.reshape(len(weights), 1, -1)
+    out = np.zeros((len(neighbour[rows]), max(padded.shape[1], columns.shape[2])), dtype=complex)
+    for k in np.flatnonzero(columns.any(axis=(1, 2))):
+        factor = columns[k] if power is None else columns[k] * power[rows, k : k + 1]
+        out += factor * np.take(padded, neighbour[rows, k], axis=0)
+    return out
+
+
+def _padded(c: np.ndarray, width: int = 1) -> np.ndarray:
+    """c as (size + 1, at least ``width``) columns, with a zero last row."""
     flat = c.reshape(len(c), -1)
-    padded = np.concatenate([flat, np.zeros_like(flat[:1])])
-    columns = weights.reshape(len(weights), -1)
-    out = np.zeros((len(c), max(flat.shape[1], columns.shape[1])), dtype=complex)
-    for k in np.flatnonzero(columns.any(axis=1)):
-        factor = columns[k] if power is None else columns[k] * power[:, k : k + 1]
-        out += factor * np.take(padded, neighbour[:, k], axis=0)
+    out = np.zeros((len(c) + 1, max(flat.shape[1], width)), dtype=complex)
+    out[:-1] = flat
+    return out
+
+
+def _single(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power=None):
+    out = _gather(_padded(c), weights, neighbour, slice(None), power)
     return out[:, 0] if c.ndim == weights.ndim == 1 else out
 
 
 def apply_mult_linear(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Multiply by the linear form <x|a>; the top degree's product is dropped."""
-    return _gather(c, _direction(a).conj(), table(spec).down)
+    return _single(c, _direction(a).conj(), table(spec).down)
 
 
 def apply_derivative(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Directional derivative along a of the polynomial with coefficients c."""
     tab = table(spec)
     # the source key x^(e + e_k) of key e carries the exponent e_k + 1
-    return _gather(c, _direction(a), tab.up, tab.exponents + 1)
+    return _single(c, _direction(a), tab.up, tab.exponents + 1)
+
+
+def _series(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power, spans):
+    """Sum of G^m c / m! for the gather G, term m on the rows spans[m - 1]
+    alone, up to the first zero term.  The terms share one padded buffer:
+    term m reads only rows that term m - 1 was written to."""
+    term = _padded(c, weights.shape[-1] if weights.ndim > 1 else 1)
+    out = term[:-1].copy()
+    for m, span in enumerate(spans, 1):
+        new = _gather(term, weights, neighbour, span, power) / m
+        if not new.any():
+            break
+        term[span] = new
+        out[span] += new
+    return out[:, 0] if c.ndim == weights.ndim == 1 else out
 
 
 def apply_shift(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
-    """Substitute x -> x + a; exact because the derivative flow is nilpotent."""
-    out = c.copy()
-    term = c
-    for m in range(1, spec.max_degree + 1):
-        term = apply_derivative(term, a, spec) / m
-        if not term.any():
-            break
-        out = out + term
-    return out
+    """Substitute x -> x + a; exact because the derivative flow is nilpotent.
+    Term m has degree <= top - m, for the top degree of c."""
+    tab, offsets = table(spec), layout(spec).offsets
+    top = int(tab.degree[c.reshape(len(c), -1).any(axis=1)].max(initial=0))
+    spans = [slice(0, offsets[top - m + 1]) for m in range(1, top + 1)]
+    return _series(c, _direction(a), tab.up, tab.exponents + 1, spans)
 
 
 def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
-    """Multiply by exp(<x|a>), truncated at the cap."""
-    out = c.copy()
-    term = c
-    for m in range(1, spec.max_degree + 1):
-        term = apply_mult_linear(term, a, spec) / m
-        if not term.any():
-            break
-        out = out + term
-    return out
+    """Multiply by exp(<x|a>), truncated at the cap.  Term m has degree >= m."""
+    offsets = layout(spec).offsets
+    spans = [slice(offsets[m], offsets[-1]) for m in range(1, spec.max_degree + 1)]
+    return _series(c, _direction(a).conj(), table(spec).down, None, spans)
 
 
 def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:
@@ -170,18 +194,27 @@ def _wide_flow(c, spec: TruncationSpec, margin: int, steps):
     number v, on the coefficients: on the Fock vector it would be conjugated).
     The steps run on fibres, not on the gather series that the Weyl routes
     are checked against.  A shift after a multiplication brings the tail
-    that the multiplication dropped at the cap down to spec, so such steps
-    run again two degrees shallower; if the two runs differ on spec by more
-    than 1e-12 relative, the steps run once more with twice the margin.
-    Returns the coefficients on spec.
+    that the multiplication dropped at the cap down to spec, so the steps
+    after the first multiplication run again two degrees shallower, from the
+    state after it cut to the shallower rows: a multiplication only raises
+    degree, so a shallower run from c reaches that cut.  If the two runs
+    differ on spec by more than 1e-12 relative, the steps run once more with
+    twice the margin.  Returns the coefficients on spec.
     """
+    if margin < 0:
+        raise ValueError(f"margin must be >= 0, got {margin}")
     depth = spec.max_degree + margin
-    out = _flow_at(c, spec, depth, steps)
     kinds = [kind for kind, _ in steps]
-    if margin and "mult" in kinds and "shift" in kinds[kinds.index("mult") :]:
-        probe = _flow_at(c, spec, depth - 2, steps)
-        if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
-            out = _flow_at(c, spec, depth + margin, steps)
+    head = kinds.index("mult") + 1 if "mult" in kinds else len(steps)
+    if not (margin and "shift" in kinds[head:]):
+        return _flow_at(c, spec, depth, steps)
+    # the state on every row of the workspace after the first multiplication
+    state = _flow_at(c, spec, depth, steps[:head], layout(TruncationSpec(depth, spec.dim)).size)
+    out = _flow_at(state, spec, depth, steps[head:], len(c))
+    shallow = TruncationSpec(max(depth - 2, spec.max_degree), spec.dim)
+    probe = _flow_at(state[: layout(shallow).size], spec, shallow.max_degree, steps[head:], len(c))
+    if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
+        out = _flow_at(c, spec, depth + margin, steps)
     return out
 
 
@@ -196,7 +229,9 @@ def _wide_residual(c, spec: TruncationSpec, margin: int, lhs, rhs, pairing: str)
 # A shift and a multiplication by exp<x|a> factor into commuting
 # one-coordinate flows.  Along axis k the rows that agree in every exponent
 # but e_k form a fibre, and a one-coordinate flow maps every fibre by the same
-# triangular matrix: one gather, one matrix product and one scatter.
+# triangular matrix.  The flow state stays in the fibre order of the axis it
+# last acted on, so each axis step is one gather through a move table and one
+# matrix product.
 
 
 @lru_cache(maxsize=None)
@@ -204,18 +239,38 @@ def _fibre_table(spec: TruncationSpec, k: int) -> np.ndarray:
     """The (fibres, max_degree + 1) table of the rows along axis k, by e_k.
 
     A fibre whose other exponents sum to s has max_degree - s + 1 rows; its
-    other cells hold ``size``, the row of an appended zero, so the mass that a
-    multiplication pushes past the cap falls there and is dropped.
+    other cells, the pad cells, hold ``size``.  Every axis has the same
+    number of fibres.
     """
     rows = layout(spec)
     radix = spec.max_degree + 1
     # fibre id from the other exponents read as the digits of one number
     key = np.delete(rows.exponents, k, axis=1) @ radix ** np.arange(spec.dim - 1)
     _, fibre = np.unique(key, return_inverse=True)
-    # int32 halves the largest cache of the deep workspaces, at the cost of
-    # numpy widening the index on every gather and scatter
+    # int32 halves the largest caches of the deep workspaces
     table = np.full((fibre.max() + 1, radix), rows.size, dtype=np.int32)
     table[fibre, rows.exponents[:, k]] = np.arange(rows.size)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _move_table(spec: TruncationSpec, source: int | None, target: int | None) -> np.ndarray:
+    """Where each cell of layout ``target`` sits in the state of layout ``source``.
+
+    A layout is the fibre order of an axis (the cells of ``_fibre_table``,
+    fibre by fibre) or, for None, the row order.  Every state has one slot
+    per fibre cell and a last slot that stays zero, which pad cells read.
+    int32 like the fibre tables, which halves the cache, although
+    ``np.take`` widens it on each step.
+    """
+    size, cells = layout(spec).size, _fibre_table(spec, 0).size
+    where = np.arange(size + 1)
+    if source is not None:
+        where[_fibre_table(spec, source).ravel()] = np.arange(cells)
+    where[size] = cells
+    rows = np.arange(size) if target is None else _fibre_table(spec, target).ravel()
+    table = where[rows].astype(np.int32)
     table.flags.writeable = False
     return table
 
@@ -231,20 +286,23 @@ def _fibre_matrices(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gap, shift, np.tri(depth + 1) / factorials[gap]
 
 
-def _flow_at(c, spec: TruncationSpec, depth: int, steps):
+def _flow_at(c, spec: TruncationSpec, depth: int, steps, rows: int | None = None):
     """Run the steps of ``_wide_flow`` on the (size,) coefficients c at ``depth``.
 
     A step acts on the fibres of one axis at a time: a shift by b maps the
     cells of a fibre by C(j, i) b^(j-i), a multiplication by exp<x|a> by
-    conj(a)^(i-j) / (i-j)!.  Cells past the cap are the zero row, so the
+    conj(a)^(i-j) / (i-j)!.  Cells past the cap are never read again, so the
     product is truncated at the cap as the gather series truncates it.
-    Returns the coefficients on spec.
+    Returns the coefficients on the first ``rows`` rows (default len(c)).
     """
     wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
     gap, shift, mult = _fibre_matrices(wide.max_degree)
-    size = layout(wide).size
-    x = np.zeros(size + 1, dtype=complex)  # the last row is the zero row
+    fibres, radix = _fibre_table(wide, 0).shape
+    x = np.zeros(fibres * radix + 1, dtype=complex)  # the last cell stays zero
     x[: len(c)] = c
+    cells = x[:-1].reshape(fibres, radix)
+    gathered = np.empty_like(cells)
+    axis = None  # the layout x is in; None is the row order
     for kind, vec in steps:
         if kind == "scale":
             x *= complex(vec)
@@ -256,8 +314,9 @@ def _flow_at(c, spec: TruncationSpec, depth: int, steps):
             z = z.conj()
         unit = shift if kind == "shift" else mult
         for k in np.flatnonzero(z):
-            matrix = unit * (z[k] ** np.arange(len(unit)))[gap]
-            pad = _fibre_table(wide, k)
-            x[pad] = x[pad] @ matrix.T
-            x[size] = 0
-    return x[: len(c)]
+            matrix = unit * (z[k] ** np.arange(radix))[gap]
+            # "clip" lets take write straight into out; every index is in range
+            np.take(x, _move_table(wide, axis, k), out=gathered.reshape(-1), mode="clip")
+            np.matmul(gathered, matrix.T, out=cells)
+            axis = k
+    return np.take(x, _move_table(wide, axis, None)[: rows or len(c)])

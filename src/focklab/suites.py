@@ -194,6 +194,8 @@ class RunConfig:
     out: str = "reports"
 
     def __post_init__(self):
+        if self.margin < 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
         # one spelling per set of overrides: sorted, the last of a name wins
         tolerances = tuple(sorted(dict(self.tolerances).items()))
         for name, _ in tolerances:

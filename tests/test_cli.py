@@ -497,6 +497,26 @@ def test_run_rejects_an_empty_sample_budget(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_run_config_rejects_a_negative_margin():
+    with pytest.raises(ValueError, match="margin must be >= 0, got -1"):
+        cli.RunConfig(margin=-1)
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+@pytest.mark.parametrize("margin", [-3, -8])
+def test_a_negative_margin_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                              command, margin):
+    # -3 used to run unwidened flows and fail three identities, -8 to end in a
+    # traceback from the hardy suite
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text(f"margin = {margin}\n")
+    argv = [command] + (["heisenberg"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"focklab: error: {path}: margin must be >= 0, got {margin}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("label", ["garbage", "λ=[1];ι=[2]"])
 def test_ftransform_cli_checks_the_norm_study_key_before_sampling(tmp_path, capsys, monkeypatch,
                                                                    label):

@@ -223,3 +223,88 @@ def test_fibre_tables_stay_within_dim_times_rows():
     rng = np.random.default_rng(12)
     steps = _steps(6, rng, ["shift", "mult", "shift"])
     _assert_flows_agree(_coefficients(spec, rng), spec, 12, steps)
+
+
+def test_index_tables_of_the_weyl_workspaces_stay_within_budget():
+    # every index table that a (6,3) flow at margin 16 can build, in the probe
+    # (20), flow (22) and deepening (38) workspaces: 2.73 MB if all are built
+    total = 0
+    for depth in (20, 22, 38):
+        wide = TruncationSpec(depth, 3)
+        layouts = (None, 0, 1, 2)
+        tables = [pc._fibre_table(wide, k) for k in range(3)]
+        tables += [pc._move_table(wide, s, t) for s in layouts for t in layouts]
+        for table in tables:
+            assert table.dtype == np.int32 and table.size <= wide.dim * layout(wide).size
+        total += sum(table.nbytes for table in tables)
+    assert total <= 3_000_000
+
+
+# -- degree-sliced series against the whole-array series ------------------------
+
+def whole_series(c, a, spec, step):
+    """Sum of step^m c / m! over every row, term by term, until a term is zero."""
+    out, term = c.copy(), c
+    for m in range(1, spec.max_degree + 1):
+        term = step(term, a, spec) / m
+        if not term.any():
+            break
+        out = out + term
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    cap=st.integers(0, 8),
+    top=st.integers(0, 8),
+    columns=st.sampled_from([None, 1, 3]),
+    batched_directions=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_sliced_series_equal_the_whole_array_series(dim, cap, top, columns, batched_directions,
+                                                    seed, zeros):
+    rng = np.random.default_rng(seed)
+    spec = TruncationSpec(cap, dim)
+    # an input of top degree min(top, cap), some direction coordinates zero
+    low = pc.table(spec).degree <= top
+    c = _coefficients(spec, rng, columns) * (low if columns is None else low[:, None])
+    # one direction per column, or one for every column
+    width = columns or 1
+    a = rng.standard_normal((dim, width)) + 1j * rng.standard_normal((dim, width))
+    a = a * (rng.random((dim, width)) >= zeros)
+    a = a if batched_directions and columns else EVector(tuple(a[:, 0]))
+    assert np.array_equal(pc.apply_shift(c, a, spec), whole_series(c, a, spec, pc.apply_derivative))
+    assert np.array_equal(pc.apply_exp_mult(c, a, spec),
+                          whole_series(c, a, spec, pc.apply_mult_linear))
+
+
+# -- the tail probe against a full rerun ------------------------------------------
+
+def full_rerun_flow(c, spec, margin, steps):
+    """``polycalc._wide_flow`` with a probe that reruns every step two degrees
+    shallower, from c."""
+    depth = spec.max_degree + margin
+    out = pc._flow_at(c, spec, depth, steps)
+    kinds = [kind for kind, _ in steps]
+    if margin and "mult" in kinds and "shift" in kinds[kinds.index("mult"):]:
+        probe = pc._flow_at(c, spec, depth - 2, steps)
+        if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
+            out = pc._flow_at(c, spec, depth + margin, steps)
+    return out
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 16])
+@pytest.mark.parametrize("spec", [TruncationSpec(6, 3), TruncationSpec(4, 2)])
+def test_restarted_probe_matches_a_full_rerun(spec, margin):
+    # at margin 1 the probe depth clamps at the cap
+    rng = np.random.default_rng(margin + spec.dim)
+    for kinds in (WEYL_KINDS, ["mult", "shift"], ["scale", "shift", "mult", "shift", "mult"],
+                  ["shift", "scale"], ["mult", "mult", "shift"]):
+        c = _coefficients(spec, rng) * (pc.table(spec).degree <= 4)
+        steps = _steps(spec.dim, rng, kinds, scale=0.5)
+        want = full_rerun_flow(c, spec, margin, steps)
+        got = pc._wide_flow(c, spec, margin, steps)
+        assert got.shape == c.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
