@@ -12,14 +12,16 @@ Shifts, multiplications and derivatives are literal polynomial operations
 on the coefficients, exact up to roundoff inside the truncation, by two
 routes that the suites check against each other.  The public kernels sum the
 exponential series of the generator by neighbour gathers, term m on the rows
-of the degrees it can reach; single operations, the series oracles and the
-quadrature run on them.  The step lists of ``_wide_flow`` (the Weyl operators
+of the degrees it can reach; single operations and the quadrature run on
+them, and the heat series oracles of ``semigroups`` on their gathers.  The step lists of ``_wide_flow`` (the Weyl operators
 and their residuals) run on fibres, one small triangular matrix per
-coordinate, with the state kept in the fibre order of the last axis.  Every
-kernel returns the coefficient array alone and drops what a product pushes
-past the cap; the wide flows guard against that loss with their margin and
-tail probe, and building a vector beyond the cap raises
-``TruncationOverflowError``.
+coordinate, with the state kept in the fibre order of the last axis, in three
+segments: the shifts and scales before the first multiplication and the
+multiplications and scales after the last shift run on the base workspace,
+and only the span between them runs in the deeper one.  Every kernel returns
+the coefficient array alone and drops what a product pushes past the cap; the
+deep span guards against that loss with its margin and tail probe, and
+building a vector beyond the cap raises ``TruncationOverflowError``.
 """
 
 from __future__ import annotations
@@ -117,11 +119,14 @@ def _gather(padded: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, rows
     neighbour[rows, k]; ``padded`` is (size + 1, n) with a zero last row."""
     # (1, n) factors: an (n,) one times a single row runs another numpy loop,
     # whose complex products can differ in the last bit
-    columns = weights.reshape(len(weights), 1, -1)
-    out = np.zeros((len(neighbour[rows]), max(padded.shape[1], columns.shape[2])), dtype=complex)
-    for k in np.flatnonzero(columns.any(axis=(1, 2))):
-        factor = columns[k] if power is None else columns[k] * power[rows, k : k + 1]
-        out += factor * np.take(padded, neighbour[rows, k], axis=0)
+    factors = weights.reshape(len(weights), 1, -1)
+    if power is not None:
+        factors = [factor * power[rows, k : k + 1] for k, factor in enumerate(factors)]
+    taken = np.take(padded, neighbour[rows].T, axis=0)  # (dim, rows, n)
+    out = factors[0] * taken[0]
+    out += 0.0  # the -0 of a zero product becomes the +0 of a sum from zero
+    for factor, part in zip(factors[1:], taken[1:]):
+        out += factor * part
     return out
 
 
@@ -193,28 +198,39 @@ def _wide_flow(c, spec: TruncationSpec, margin: int, steps):
     Kinds: "shift" (x -> x + v), "mult" (times exp<x|v>), "scale" (times the
     number v, on the coefficients: on the Fock vector it would be conjugated).
     The steps run on fibres, not on the gather series that the Weyl routes
-    are checked against.  A shift after a multiplication brings the tail
-    that the multiplication dropped at the cap down to spec, so the steps
-    after the first multiplication run again two degrees shallower, from the
-    state after it cut to the shallower rows: a multiplication only raises
-    degree, so a shallower run from c reaches that cut.  If the two runs
-    differ on spec by more than 1e-12 relative, the steps run once more with
-    twice the margin.  Returns the coefficients on spec.
+    are checked against, in three segments.  The lead, before the first
+    multiplication, shifts and scales: it never raises degree, so it runs on
+    spec.  The trail, after the last shift, multiplies and scales: it never
+    lowers degree, so the rows of spec need only the rows of spec, and it runs
+    on spec too.  Only the span between them runs ``margin`` degrees deeper,
+    for a shift after a multiplication brings the tail that the
+    multiplication dropped at the cap down to spec.  The span after its first
+    multiplication runs again two degrees shallower, from the state after it
+    cut to the shallower rows: a multiplication only raises degree, so a
+    shallower run reaches that cut.  If the two runs, each finished by the
+    trail, differ on spec by more than 1e-12 relative, the span runs once
+    more with twice the margin.  At margin 0, and for a list with no shift
+    after a multiplication, every step runs on spec.  Returns the
+    coefficients on spec.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
-    depth = spec.max_degree + margin
+    top = spec.max_degree
     kinds = [kind for kind, _ in steps]
-    head = kinds.index("mult") + 1 if "mult" in kinds else len(steps)
-    if not (margin and "shift" in kinds[head:]):
-        return _flow_at(c, spec, depth, steps)
+    first = kinds.index("mult") if "mult" in kinds else len(kinds)
+    last = len(kinds) - kinds[::-1].index("shift") if "shift" in kinds else 0
+    if not margin or first >= last:
+        return _flow_at(c, spec, top, steps)
+    lead, span, trail = steps[:first], steps[first:last], steps[last:]
+    c = _flow_at(c, spec, top, lead)
+    depth = top + margin
     # the state on every row of the workspace after the first multiplication
-    state = _flow_at(c, spec, depth, steps[:head], layout(TruncationSpec(depth, spec.dim)).size)
-    out = _flow_at(state, spec, depth, steps[head:], len(c))
-    shallow = TruncationSpec(max(depth - 2, spec.max_degree), spec.dim)
-    probe = _flow_at(state[: layout(shallow).size], spec, shallow.max_degree, steps[head:], len(c))
-    if np.linalg.norm(out - probe) > 1e-12 * np.linalg.norm(out):
-        out = _flow_at(c, spec, depth + margin, steps)
+    state = _flow_at(c, spec, depth, span[:1], layout(TruncationSpec(depth, spec.dim)).size)
+    out = _flow_at(_flow_at(state, spec, depth, span[1:], len(c)), spec, top, trail)
+    shallow = TruncationSpec(max(depth - 2, top), spec.dim)
+    probe = _flow_at(state[: layout(shallow).size], spec, shallow.max_degree, span[1:], len(c))
+    if np.linalg.norm(out - _flow_at(probe, spec, top, trail)) > 1e-12 * np.linalg.norm(out):
+        out = _flow_at(_flow_at(c, spec, depth + margin, span), spec, top, trail)
     return out
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import polycalc as pc
-from .fock_core import EVector
+from .fock_core import EVector, layout
 from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse
 from .hardy_w import HardyWFunction
 
@@ -67,32 +67,49 @@ def gw_mult(
     return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing)
 
 
-def _gw_series(f: HardyWFunction, r: float, step) -> HardyWFunction:
-    """Sum of r^k / k! G^(2k) f on dense coefficients, where ``step`` applies
-    the generator G once."""
+def _gw_series(c: np.ndarray, r: float, weights, neighbour, power, rows) -> np.ndarray:
+    """Sum of r^k / k! G^(2k) c, up to the first zero term, for the generator
+    G that ``polycalc._gather`` applies with ``weights``, ``neighbour`` and
+    ``power``; G^j c lies on the rows ``rows[j - 1]``.  The terms share one
+    padded buffer: each half step reads only rows that the one before it
+    wrote."""
     if r <= 0:
         raise ValueError("time parameter must be positive")
-    term = f.coefficients()
-    out = term.copy()
-    for k in range(1, f.spec.max_degree // 2 + 1):
-        term = step(step(term)) * (r / k)
-        if not term.any():
+    term, out = pc._padded(c), c.copy()
+    for k in range(1, len(rows) // 2 + 1):
+        half, span = rows[2 * k - 2], rows[2 * k - 1]
+        term[half] = pc._gather(term, weights, neighbour, half, power)
+        new = pc._gather(term, weights, neighbour, span, power) * (r / k)
+        if not new.any():
             break
-        out += term
-    return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
+        term[span] = new
+        out[span] += new[:, 0]
+    return out
 
 
 def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
-    """Closed form exp(r * (<.|a>)^2) applied as a finite series on polynomials."""
-    return _gw_series(f, r, lambda c: pc.apply_mult_linear(c, a, f.spec))
+    """Closed form exp(r * (<.|a>)^2) applied as a finite series on polynomials.
+
+    The generator multiplies by <x|a>, so G^j c has degree >= j.
+    """
+    offsets = layout(f.spec).offsets
+    rows = [slice(offsets[j], offsets[-1]) for j in range(1, f.spec.max_degree + 1)]
+    out = _gw_series(f.coefficients(), r, pc._direction(a).conj(), pc.table(f.spec).down, None,
+                     rows)
+    return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
 
 
 def gw_shift(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
     """Heat flow of the shift group: sum of r^k (derivative along a)^(2k) / k!.
 
-    Exact on polynomials since the derivative is nilpotent.
+    Exact on polynomials since the derivative is nilpotent: G^j c has degree
+    <= top - j, for the top degree of c.
     """
-    return _gw_series(f, r, lambda c: pc.apply_derivative(c, a, f.spec))
+    c, tab, offsets = f.coefficients(), pc.table(f.spec), layout(f.spec).offsets
+    top = int(tab.degree[c != 0].max(initial=0))
+    rows = [slice(0, offsets[top - j + 1]) for j in range(1, top + 1)]
+    out = _gw_series(c, r, pc._direction(a), tab.up, tab.exponents + 1, rows)
+    return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
 
 
 def gw_shift_quadrature(

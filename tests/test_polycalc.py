@@ -240,6 +240,56 @@ def test_index_tables_of_the_weyl_workspaces_stay_within_budget():
     assert total <= 3_000_000
 
 
+# -- one-take gather against the per-axis loop -------------------------------------
+
+def per_axis_gather(padded, weights, neighbour, rows, power=None):
+    """``polycalc._gather`` as one take per axis with a nonzero weight, summed
+    into zeros."""
+    columns = weights.reshape(len(weights), 1, -1)
+    out = np.zeros((len(neighbour[rows]), max(padded.shape[1], columns.shape[2])), dtype=complex)
+    for k in np.flatnonzero(columns.any(axis=(1, 2))):
+        factor = columns[k] if power is None else columns[k] * power[rows, k : k + 1]
+        out += factor * np.take(padded, neighbour[rows, k], axis=0)
+    return out
+
+
+_SIGNED = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    cap=st.integers(0, 6),
+    n=st.sampled_from([1, 64]),
+    weight_shape=st.sampled_from(["(dim,)", "(dim, n)", "(dim, 1, n)"]),
+    one_column=st.booleans(),
+    up=st.booleans(),
+    ends=st.tuples(st.integers(0, 90), st.integers(0, 90)),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_one_take_gather_equals_the_per_axis_loop_bytewise(dim, cap, n, weight_shape, one_column,
+                                                           up, ends, seed, zeros):
+    rng = np.random.default_rng(seed)
+    spec = TruncationSpec(cap, dim)
+    tab = pc.table(spec)
+    # signed zeros and exact small values among the coefficients and weights,
+    # and whole direction coordinates zero
+    shape = (tab.size(), 1 if one_column else n)
+    c = rng.choice(_SIGNED, shape) + 1j * rng.choice(_SIGNED, shape)
+    if seed % 2:
+        c = c + rng.standard_normal(shape)
+    shape = {"(dim,)": (dim,), "(dim, n)": (dim, n), "(dim, 1, n)": (dim, 1, n)}[weight_shape]
+    weights = rng.standard_normal(shape) + 1j * rng.choice(_SIGNED, shape)
+    weights[rng.random(dim) < zeros] = rng.choice(_SIGNED) + 0j
+    neighbour, power = (tab.up, tab.exponents + 1) if up else (tab.down, None)
+    rows = slice(*sorted(min(end, tab.size()) for end in ends))
+    got = pc._gather(pc._padded(c), weights, neighbour, rows, power)
+    want = per_axis_gather(pc._padded(c), weights, neighbour, rows, power)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # -- degree-sliced series against the whole-array series ------------------------
 
 def whole_series(c, a, spec, step):
@@ -300,8 +350,12 @@ def full_rerun_flow(c, spec, margin, steps):
 def test_restarted_probe_matches_a_full_rerun(spec, margin):
     # at margin 1 the probe depth clamps at the cap
     rng = np.random.default_rng(margin + spec.dim)
+    # with leading shifts, trailing multiplications, no shift after a
+    # multiplication, and no shift or multiplication at all
     for kinds in (WEYL_KINDS, ["mult", "shift"], ["scale", "shift", "mult", "shift", "mult"],
-                  ["shift", "scale"], ["mult", "mult", "shift"]):
+                  ["shift", "scale"], ["mult", "mult", "shift"],
+                  ["shift", "shift", "scale", "mult", "shift"], ["mult", "shift", "mult", "mult"],
+                  ["shift", "mult", "scale"], ["mult"], ["scale"], ["scale", "scale"]):
         c = _coefficients(spec, rng) * (pc.table(spec).degree <= 4)
         steps = _steps(spec.dim, rng, kinds, scale=0.5)
         want = full_rerun_flow(c, spec, margin, steps)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from focklab import polycalc as pc
 from focklab.fock_core import EVector, FockVector, TruncationSpec
 from focklab.hardy_chi import f_transform_inverse
 from focklab.hardy_w import (
@@ -205,3 +207,40 @@ def test_dense_series_equal_term_by_term(r, pairing, degree):
     g = HardyWFunction(FockVector.basis(short, BasisKey.make((1,), (2,)), 2.0), pairing)
     for series in (gw_mult_oracle, gw_shift):
         assert series(g, EVector((1.0, 0.5)), r) == g
+
+
+def _whole_array_series(f, r, step):
+    """Sum of r^k / k! G^(2k) f with G applied by ``step`` to every row, two
+    whole-array steps per term, up to the first zero term."""
+    term = f.coefficients()
+    out = term.copy()
+    for k in range(1, f.spec.max_degree // 2 + 1):
+        term = step(step(term)) * (r / k)
+        if not term.any():
+            break
+        out += term
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 4),
+    cap=st.integers(0, 8),
+    degree=st.integers(0, 8),
+    pairing=st.sampled_from(["w", "h", "taylor"]),
+    r=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.floats(0.0, 1.0),
+)
+def test_sliced_heat_series_equal_the_whole_array_series(dim, cap, degree, pairing, r, seed,
+                                                         zeros):
+    rng = np.random.default_rng(seed)
+    spec = TruncationSpec(cap, dim)
+    f = random_polynomial(spec, rng, min(degree, cap), pairing)
+    coords = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    a = EVector(tuple(coords * (rng.random(dim) >= zeros)))
+    for series, step in ((gw_mult_oracle, lambda c: pc.apply_mult_linear(c, a, spec)),
+                         (gw_shift, lambda c: pc.apply_derivative(c, a, spec))):
+        got = series(f, a, r).fock.array
+        want = HardyWFunction.from_coefficients(_whole_array_series(f, r, step), spec, pairing)
+        assert got.tobytes() == want.fock.array.tobytes()

@@ -109,18 +109,43 @@ def test_a_fixed_depth_misses_the_closed_form_on_the_planted_draw():
     assert _gap(pc._wide_flow(c, SPEC, MARGIN, steps), want) <= 1e-12
 
 
-def test_the_planted_draw_still_deepens(monkeypatch):
-    depths = []
+def _record_flows(monkeypatch):
+    """(depth, kinds) of every ``_flow_at`` call, in order."""
+    calls = []
     flow_at = pc._flow_at
 
     def recording(c, spec, depth, steps, rows=None):
-        depths.append(depth)
+        calls.append((depth, [kind for kind, _ in steps]))
         return flow_at(c, spec, depth, steps, rows)
 
     monkeypatch.setattr(pc, "_flow_at", recording)
+    return calls
+
+
+def test_the_planted_draw_still_deepens(monkeypatch):
+    calls = _record_flows(monkeypatch)
     c, steps = _planted()
     pc._wide_flow(c, SPEC, MARGIN, steps)
-    assert depths[-1] == SPEC.max_degree + 2 * MARGIN
+    top = SPEC.max_degree
+    # the lead shift and the trailing multiplication and scales run on spec;
+    # only the span from the first multiplication to the last shift deepens
+    lead, span, trail = ["shift"], ["mult", "scale", "shift"], ["mult", "scale", "scale"]
+    assert calls[0] == (top, lead)
+    assert calls[-2:] == [(top + 2 * MARGIN, span), (top, trail)]
+    assert {depth for depth, kinds in calls if kinds in (lead, trail)} == {top}
+    assert max(depth for depth, _ in calls[:-2]) == top + MARGIN
+
+
+def test_lists_without_a_shift_after_a_multiplication_run_on_spec(monkeypatch):
+    calls = _record_flows(monkeypatch)
+    rng = np.random.default_rng(5)
+    f = random_polynomial(SPEC, rng, 4, scale=0.7)
+    p, q, x = _quaternion(rng, True), _quaternion(rng, True), _element(rng)
+    pc._wide_flow(f.coefficients(), SPEC, MARGIN, weyl(p + q).steps())
+    WSOperator(x, MARGIN).apply(f)
+    weyl(q, MARGIN).apply(f)
+    assert len(calls) == 3
+    assert {depth for depth, _ in calls} == {SPEC.max_degree}
 
 
 @pytest.mark.parametrize("margin", [-1, -8])
