@@ -197,15 +197,23 @@ def chi_from_payload(payload: dict) -> hc.HardyChiFunction:
     return hc.HardyChiFunction.from_json(_fock_field(payload, "chi function"))
 
 
+def _is_number_pair(item) -> bool:
+    return (isinstance(item, list) and len(item) == 2
+            and all(isinstance(v, (int, float)) for v in item))
+
+
 def _parse_points(payload: dict, dim: int) -> list[fc.EVector]:
     if not isinstance(payload, dict) or "points" not in payload:
         raise ValueError("points payload must be a JSON object with a 'points' field")
+    if not isinstance(payload["points"], list):
+        raise ValueError("'points' must be a list of points")
     points = []
-    for row in payload["points"]:
-        coords = [complex(re, im) for re, im in row]
-        if len(coords) != dim:
+    for index, row in enumerate(payload["points"]):
+        if not isinstance(row, list) or not all(map(_is_number_pair, row)):
+            raise ValueError(f"point {index} must be a list of [re, im] number pairs")
+        if len(row) != dim:
             raise ValueError("point dimension mismatch")
-        points.append(fc.EVector(tuple(coords)))
+        points.append(fc.EVector(tuple(complex(re, im) for re, im in row)))
     return points
 
 

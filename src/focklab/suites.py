@@ -196,6 +196,8 @@ class RunConfig:
     def __post_init__(self):
         if self.margin < 0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if self.variant not in ops.VARIANTS:
+            raise ValueError(f"variant must be one of {ops.VARIANTS}, got {self.variant!r}")
         # one spelling per set of overrides: sorted, the last of a name wins
         tolerances = tuple(sorted(dict(self.tolerances).items()))
         for name, _ in tolerances:

@@ -2,7 +2,9 @@
 
 Sampling orthonormalises complex Gaussian matrices Z = QR by Gram-Schmidt, a
 whole chunk at once; Q with R_jj > 0, the QR factor with the phase fix
-R_jj/|R_jj|, is exactly Haar (Mezzadri 2007).  Every Monte Carlo estimate runs
+R_jj/|R_jj|, is exactly Haar (Mezzadri 2007).  The Monte Carlo chunks read the
+sampler's column array in place, as a view; ``haar_batch`` is its contiguous
+copy, for callers that keep a stack.  Every Monte Carlo estimate runs
 through ``estimate``: chunk i of the budget draws from
 ``SeedSequence(seed, spawn_key=(i,))`` and the chunks' statistics merge in
 chunk order, so results are bitwise reproducible for any worker count.
@@ -54,16 +56,21 @@ def chunk_plan(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]
 
 
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` Haar unitaries of size m.
+    """Stack of ``count`` Haar unitaries of size m, C-contiguous.
 
     Each is the phase-fixed QR factor Q (R_jj > 0) of a standard complex
     Gaussian matrix, found by classical Gram-Schmidt run twice per column
     ("twice is enough": Giraud, Langou & Rozložník 2005).  Each step treats
     one column of every sample at once, as one array operation.
     """
+    return np.ascontiguousarray(_haar_columns(m, count, rng).transpose(2, 1, 0))
+
+
+def _haar_columns(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The samples of ``haar_batch`` in column order: entry [j, i, s] is U_s[i, j]."""
     if m < 1:
         raise ValueError("size must be >= 1")
-    q = np.empty((m, m, count), dtype=complex)  # q[j, i]: entry (i, j) of every sample
+    q = np.empty((m, m, count), dtype=complex)
     q.real = rng.standard_normal((count, m, m)).transpose(2, 1, 0)
     q.imag = rng.standard_normal((count, m, m)).transpose(2, 1, 0)
     for j, col in enumerate(q):
@@ -72,7 +79,7 @@ def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
             for k, c in enumerate(coeffs):
                 col -= q[k] * c
         col /= np.linalg.norm(col, axis=0)
-    return np.ascontiguousarray(q.transpose(2, 1, 0))
+    return q
 
 
 def haar_sample(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -340,11 +347,14 @@ def _moment_values(batch: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _haar_chunk(rng: np.random.Generator, count: int, m: int, transform: str):
-    """Moment values of ``count`` samples; the extra is (branch events, worst defect)."""
+    """Moment values of ``count`` samples; the extra is (branch events, worst defect).
+
+    The stack is a view of the column array, read in place with no copy.
+    """
     if transform == "project":
-        batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
+        batch, branches = livsic_project_batch(_haar_columns(m + 1, count, rng).transpose(2, 1, 0))
         return _moment_values(batch), (branches, unitarity_defect(batch))
-    batch = haar_batch(m, count, rng)
+    batch = _haar_columns(m, count, rng).transpose(2, 1, 0)
     if transform == "left":
         batch = _fourier_unitary(m) @ batch
     elif transform == "right":

@@ -20,3 +20,13 @@ def test_one_check_per_workload_holds(name):
     workload = workloads.WORKLOADS[name]
     outcome = workload.check(workload.draw(np.random.default_rng(1)))
     assert outcome.verdicts and outcome.misses() == []
+
+
+def test_pooled_check_has_the_bits_of_one_worker(fresh_pool):
+    workload = workloads.WORKLOADS["mc-pool"]
+    inputs = workload.draw(np.random.default_rng(1))
+    pooled = workload.check(inputs)
+    reference = workload.reference(inputs)
+    assert pooled.verdicts and pooled.misses() == [] and reference.misses() == []
+    assert (np.asarray(pooled.values, dtype="<f8").tobytes()
+            == np.asarray(reference.values, dtype="<f8").tobytes())

@@ -517,6 +517,47 @@ def test_a_negative_margin_in_a_config_file_is_one_error_line(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+def test_run_config_rejects_an_unknown_variant():
+    with pytest.raises(ValueError, match="variant must be one of .*, got 'foo'"):
+        cli.RunConfig(variant="foo")
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+def test_an_unknown_variant_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                               command):
+    # used to run eight suites, then end in a traceback from ftransform with
+    # no summary.csv written
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text("variant = foo\n")
+    argv = [command] + (["all"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err.startswith(f"focklab: error: {path}: variant must be one of ")
+    assert not (tmp_path / "out").exists()
+
+
+MALFORMED_POINTS = [5, None, [[1, 2]], [[["a", 1], [0, 0]]], [None]]
+
+
+@pytest.mark.parametrize("command", ["eval", "ftransform"])
+@pytest.mark.parametrize("points", MALFORMED_POINTS, ids=json.dumps)
+def test_malformed_points_are_one_error_line(tmp_path, capsys, monkeypatch, command, points):
+    if command == "eval":
+        payload = cli.function_to_payload(HardyWFunction(FockVector.vacuum(SPEC)))
+        monkeypatch.setattr(cli.hw, "evaluate", None)  # never reached
+    else:
+        payload = cli.chi_to_payload(HardyChiFunction(SPEC, {BasisKey.vacuum(): 1.0}))
+        monkeypatch.setattr(cli.hc, "mc_f_transform", None)  # never reached
+    fn = tmp_path / "fn.json"
+    fn.write_text(json.dumps(payload))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": points}))
+    out = tmp_path / "out.json"
+    argv = [command, "--function", str(fn), "--points", str(pts), "--out", str(out)]
+    assert _one_error_line(capsys, argv).startswith(f"focklab: error: {pts}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("label", ["garbage", "λ=[1];ι=[2]"])
 def test_ftransform_cli_checks_the_norm_study_key_before_sampling(tmp_path, capsys, monkeypatch,
                                                                    label):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,48 @@ def test_haar_batch_stays_unitary_on_near_dependent_columns(cond):
     assert diag.real.min() > 0.0 and np.abs(diag.imag).max() <= 1e-14
     # only the agreement with LAPACK degrades, as cond * eps
     assert np.abs(q - _phase_fixed_qr(z)).max() <= 100 * cond * np.finfo(float).eps
+
+
+def _chunk_from_haar_batch(rng, count, m, transform):
+    """What ``_haar_chunk`` computes, from the contiguous stack of ``haar_batch``."""
+    if transform == "project":
+        batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
+        return uh._moment_values(batch), (branches, unitarity_defect(batch))
+    batch = haar_batch(m, count, rng)
+    if transform == "left":
+        batch = uh._fourier_unitary(m) @ batch
+    elif transform == "right":
+        batch = batch @ uh._fourier_unitary(m)
+    return uh._moment_values(batch), (0, 0.0)
+
+
+@pytest.mark.parametrize("count", [uh.DEFAULT_CHUNK, 3001])
+@pytest.mark.parametrize("transform", ["direct", "project", "left", "right"])
+def test_chunk_read_in_place_has_the_bits_of_the_contiguous_stack(transform, count):
+    for m in range(1, 7):
+        values, extra = uh._haar_chunk(np.random.default_rng((m, count)), count, m, transform)
+        want, want_extra = _chunk_from_haar_batch(np.random.default_rng((m, count)), count, m,
+                                                  transform)
+        assert list(values) == list(want)
+        for name, vals in values.items():
+            assert vals.dtype == want[name].dtype and vals.tobytes() == want[name].tobytes(), name
+        assert extra[0] == want_extra[0]
+        assert np.float64(extra[1]).tobytes() == np.float64(want_extra[1]).tobytes()
+
+
+def test_direct_chunk_makes_no_copy_of_the_column_array():
+    m, count = 6, uh.DEFAULT_CHUNK
+    columns = m * m * count * np.dtype(complex).itemsize  # 4.72 MB
+    uh._haar_chunk(np.random.default_rng(0), count, m, "direct")
+    tracemalloc.start()
+    try:
+        uh._haar_chunk(np.random.default_rng(0), count, m, "direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the column array plus one Gaussian half-draw is 1.5x; a copy of the
+    # chunk would add another 1x
+    assert peak <= 1.75 * columns
 
 
 def test_exact_haar_oracles():
