@@ -163,11 +163,11 @@ class InputError(ValueError):
     """A malformed input file or argument; ``main`` reports it as one error line."""
 
 
-def _parse_input(source: str, parse, *args):
-    """``parse(*args)``, with a ``ValueError`` or an ``OSError`` (an unreadable
-    file) turned into an ``InputError`` naming ``source``."""
+def _parse_input(source: str, parse, *args, **kwargs):
+    """``parse(*args, **kwargs)``, with a ``ValueError`` or an ``OSError`` (an
+    unreadable file) turned into an ``InputError`` naming ``source``."""
     try:
-        return parse(*args)
+        return parse(*args, **kwargs)
     except (ValueError, OSError) as exc:
         raise InputError(f"{source}: {exc}") from exc
 
@@ -229,15 +229,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _require_positive(counts: dict) -> None:
-    """Reject a count below 1 as an input fault naming its source."""
+def _require_at_least(least: int, counts: dict) -> None:
+    """Reject a count below ``least`` as an input fault naming its source."""
     for source, value in counts.items():
-        if value < 1:
-            raise InputError(f"{source}: must be >= 1, got {value}")
+        if value < least:
+            raise InputError(f"{source}: must be >= {least}, got {value}")
 
 
 def cmd_haar_test(args) -> int:
-    _require_positive({"--m": args.m, "--samples": args.samples, "--workers": args.workers})
+    _require_at_least(1, {"--m": args.m, "--samples": args.samples, "--workers": args.workers})
+    _require_at_least(0, {"--seed": args.seed})
     report = uh.haar_moment_report(args.m, args.samples, args.seed, args.workers)
     report["pushforward"] = uh.pushforward_consistency(
         args.m, args.samples, args.seed, args.workers
@@ -256,7 +257,8 @@ def cmd_ftransform(args) -> int:
     f = _read_payload(args.function, chi_from_payload)
     points = _read_payload(args.points, _parse_points, f.spec.dim)
     levels = _parse_input("--levels", _parse_levels, args.levels)
-    _require_positive({"--samples": args.samples, "--workers": args.workers})
+    _require_at_least(1, {"--samples": args.samples, "--workers": args.workers})
+    _require_at_least(0, {"--seed": args.seed})
     if args.norm_study:
         key = _parse_input("--norm-study-key", pt.BasisKey.from_label, args.norm_study_key)
         if key.max_index() > min(levels):
@@ -307,7 +309,7 @@ def _parse_r_schedule(text: str) -> list[float]:
 
 
 def cmd_gw(args) -> int:
-    _require_positive({"--nodes": args.nodes})
+    _require_at_least(1, {"--nodes": args.nodes})
     f = _read_payload(args.function, function_from_payload)
     a = _parse_input("--direction", _parse_direction, args.direction, f.spec.dim)
     schedule = _parse_input("--r-schedule", _parse_r_schedule, args.r_schedule)
@@ -328,7 +330,8 @@ def cmd_gw(args) -> int:
 
 
 def cmd_heisenberg(args) -> int:
-    cfg = replace(_parse_input(str(args.config), load_config, args.config), seed=args.seed)
+    cfg = _parse_input(str(args.config), load_config, args.config)
+    cfg = _parse_input("--seed", replace, cfg, seed=args.seed)
     report = run_suite("heisenberg", cfg)
     write_json(report, args.out)
     return 0 if report["passed"] else 1
@@ -347,9 +350,11 @@ def cmd_run(args) -> int:
         tols = dict(cfg.tolerances)
         tols.update(_parse_input("--tol", _parse_tol, item) for item in args.tol)
         overrides["tolerances"] = tuple(sorted(tols.items()))
-    # the names from --tol are the only overrides RunConfig checks
-    cfg = _parse_input("--tol", lambda: replace(cfg, **overrides))
-    _require_positive({"samples": cfg.samples, "workers": cfg.workers})
+    # RunConfig checks the seed and the names from --tol; each names its flag
+    for name, value in overrides.items():
+        flag = "--tol" if name == "tolerances" else f"--{name}"
+        cfg = _parse_input(flag, replace, cfg, **{name: value})
+    _require_at_least(1, {"samples": cfg.samples, "workers": cfg.workers})
 
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     out_dir = Path(cfg.out)

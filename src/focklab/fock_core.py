@@ -74,8 +74,9 @@ class Layout:
     """The rows of one workspace, in ``enumerate_keys`` order: by degree, so
     they are the first rows of any deeper workspace of the same dimension.
 
-    Keys, the key-to-row map, row diagrams and Gram weights are built on
-    first use; everything cached is read-only.
+    Every lookup of a row goes through ``find``.  Exponents, degrees, keys, the
+    sorted rows, the neighbour tables ``up`` and ``down``, row diagrams and Gram
+    weights are built on first use; everything cached is read-only.
     """
 
     def __init__(self, spec: TruncationSpec):
@@ -107,8 +108,37 @@ class Layout:
         return enumerate_keys(self.spec.max_degree, self.spec.dim)
 
     @cached_property
-    def index(self) -> MappingProxyType:
-        return MappingProxyType({k: i for i, k in enumerate(self.keys)})
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as opaque byte strings, sorted, and the row of each."""
+        known = self.exponents.view(f"V{8 * self.spec.dim}").ravel()
+        order = np.argsort(known)
+        return known[order], order
+
+    def find(self, exponents) -> np.ndarray:
+        """The row of each exponent vector along the last axis, keeping the
+        leading shape; ``size`` (the row of an appended zero) for a vector
+        that is not a row: one with a negative entry or past the cap."""
+        exponents = np.asarray(exponents, dtype=np.int64)
+        if exponents.shape[-1:] != (self.spec.dim,):
+            raise ValueError(f"exponent vectors of shape {exponents.shape} do not fit {self.spec}")
+        known, order = self._sorted
+        wanted = np.ascontiguousarray(exponents).view(known.dtype).ravel()
+        at = np.minimum(np.searchsorted(known, wanted), self.size - 1)
+        return np.where(known[at] == wanted, order[at], self.size).reshape(exponents.shape[:-1])
+
+    def _neighbours(self, sign: int) -> np.ndarray:
+        """Column k holds the row of each row's exponents plus sign * e_k."""
+        steps = sign * np.eye(self.spec.dim, dtype=np.int64)
+        # one axis at a time: a search over all axes at once builds slower
+        return _read_only(np.stack([self.find(self.exponents + step) for step in steps], axis=1))
+
+    @cached_property
+    def up(self) -> np.ndarray:
+        return self._neighbours(1)
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        return self._neighbours(-1)
 
     @cached_property
     def diagrams(self) -> tuple[YoungDiagram, ...]:
@@ -203,11 +233,12 @@ class FockVector:
         rows, array = layout(spec), coeffs
         if not isinstance(array, np.ndarray):
             coeffs = coeffs or {}
-            array = np.zeros(rows.size, dtype=object if _exact(coeffs.values()) else complex)
-            for key, value in coeffs.items():
+            for key in coeffs:
                 if not spec.contains(key):
                     raise TruncationOverflowError(f"key {key.label()} outside {spec}")
-                array[rows.index[key]] = value
+            exponents = np.array([key.exponents(spec.dim) for key in coeffs], dtype=np.int64)
+            array = np.zeros(rows.size, dtype=object if _exact(coeffs.values()) else complex)
+            array[rows.find(exponents.reshape(-1, spec.dim))] = list(coeffs.values())
         if array.shape != (rows.size,):
             raise ValueError(f"array of shape {array.shape} does not fit {spec}")
         if array.dtype != complex and not (
@@ -394,12 +425,13 @@ def symmetric_product(phi: FockVector, psi: FockVector) -> FockVector:
     spec = phi.spec
     rows = layout(spec)
     out = np.zeros(rows.size, dtype=np.result_type(phi.array, psi.array))
-    for i, j in iter_product(np.flatnonzero(phi.array), np.flatnonzero(psi.array)):
-        degree = rows.degree[i] + rows.degree[j]
-        if degree > spec.max_degree:
-            raise TruncationOverflowError(f"product degree {degree} exceeds cap")
-        merged = BasisKey.from_exponents((rows.exponents[i] + rows.exponents[j]).tolist())
-        out[rows.index[merged]] += phi.array[i] * psi.array[j]
+    left, right = np.flatnonzero(phi.array), np.flatnonzero(psi.array)
+    left, right = np.repeat(left, len(right)), np.tile(right, len(left))
+    merged = rows.find(rows.exponents[left] + rows.exponents[right])
+    if (merged == rows.size).any():
+        raise TruncationOverflowError(f"product degree exceeds cap {spec.max_degree}")
+    for i, j, row in zip(left.tolist(), right.tolist(), merged.tolist()):
+        out[row] += phi.array[i] * psi.array[j]
     return FockVector(spec, out)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polycalc as pc
-from .fock_core import EVector, TruncationSpec
+from .fock_core import EVector, TruncationSpec, layout
 from .hardy_chi import HardyChiFunction, f_transform, f_transform_inverse, shift_group_chi
 from .hardy_w import HardyWFunction, shift
 
@@ -286,10 +286,10 @@ def orbit_rank_probe(
     hint, never a proof; the report carries both numbers.
     """
     rng = np.random.default_rng(seed)
-    tab = pc.table(spec)
+    size = layout(spec).size
     rows = []
     ones = HardyWFunction.from_coefficients(
-        np.eye(tab.size(), dtype=complex)[0], spec, pc.TAYLOR
+        np.eye(size, dtype=complex)[0], spec, pc.TAYLOR
     )
     for _ in range(count):
         a = EVector(tuple(rng.standard_normal(spec.dim) * 0.7))
@@ -299,4 +299,4 @@ def orbit_rank_probe(
         rows.append(image.coefficients())
     matrix = np.vstack(rows)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-10))
-    return {"rank": rank, "dimension": tab.size(), "orbit_size": count}
+    return {"rank": rank, "dimension": size, "orbit_size": count}

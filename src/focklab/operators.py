@@ -101,17 +101,14 @@ def _gather_table(spec: TruncationSpec, src: int, m: int) -> np.ndarray:
     """Amplitude rows read by creation block (src, src+m): entry [i, j] is
     the ``layout(spec)`` row of the degree-m key whose exponents are target
     key i's minus source key j's, or ``layout(spec).size`` (an appended zero)
-    where that difference has a negative exponent; keys compare as bytes.
+    where that difference has a negative exponent.
     """
-    rows, void = layout(spec), f"V{8 * spec.dim}"
+    rows = layout(spec)
     exps = rows.exponents
     diff = exps[rows.rows(src + m), None] - exps[None, rows.rows(src)]
     inside = (diff >= 0).all(axis=2)
-    known = exps[rows.rows(m)].view(void).ravel()
-    order = np.argsort(known)
     table = np.full(inside.shape, rows.size, dtype=np.intp)
-    wanted = diff[inside].view(void).ravel()
-    table[inside] = order[np.searchsorted(known[order], wanted)] + rows.offsets[m]
+    table[inside] = rows.find(diff[inside])
     table.flags.writeable = False
     return table
 

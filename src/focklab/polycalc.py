@@ -1,7 +1,8 @@
 """Dense coefficient calculus behind the Hardy-space function operations.
 
 A function on the one-particle space is held as a dense vector of monomial
-coefficients over the canonical key order.  Three "dressings" translate a
+coefficients over the rows of ``fock_core.layout(spec)``, whose neighbour
+tables the gathers read.  Three "dressings", cached per workspace, translate a
 Fock vector into monomial coefficients:
 
   taylor : c = conj(psi)                       (homogeneous polynomial reading)
@@ -27,7 +28,7 @@ building a vector beyond the cap raises ``TruncationOverflowError``.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,66 +41,27 @@ PAIRING_H = "h"
 PAIRINGS = (PAIRING_W, PAIRING_H, TAYLOR)
 
 
-class CoeffTable:
-    """Gather tables and readout dressings for one truncation workspace.
-
-    Rows are those of ``fock_core.layout(spec)``.  The neighbour tables come
-    from exponent vectors alone; the dressings need the diagram of each row
-    and are built on first use.  The deep workspaces of ``_wide_flow`` run on
-    ``_fibre_table`` and build neither.
-    """
-
-    def __init__(self, spec: TruncationSpec):
-        self.spec = spec
-        rows = layout(spec)
-        self.exponents, self.degree = rows.exponents, rows.degree
-        size, d = rows.size, spec.dim
-        # neighbour tables: row of key +/- e_k, or ``size`` (the row of an
-        # appended zero) when outside, so that the kernels are plain gathers.
-        # Rows are looked up as opaque byte strings, sorted once.
-        def as_bytes(rows):
-            return np.ascontiguousarray(rows).view(f"V{8 * d}").ravel()
-
-        order = np.argsort(as_bytes(self.exponents))
-        known = as_bytes(self.exponents)[order]
-        self.up, self.down = np.empty((2, size, d), dtype=np.intp)
-        for k in range(d):
-            for neighbour, sign in ((self.up, 1), (self.down, -1)):
-                wanted = as_bytes(self.exponents + sign * np.eye(d, dtype=np.int64)[k])
-                at = np.minimum(np.searchsorted(known, wanted), size - 1)
-                neighbour[:, k] = np.where(known[at] == wanted, order[at], size)
-
-    def size(self) -> int:
-        return len(self.degree)
-
-    @cached_property
-    def dress(self) -> dict:
-        factorials = np.array([math.factorial(int(n)) for n in self.degree], dtype=float)
-        cvals = np.array([float(constant_c(d)) for d in layout(self.spec).diagrams])
-        return {
-            TAYLOR: np.ones(self.size()),
-            PAIRING_H: 1.0 / factorials,
-            PAIRING_W: cvals / factorials,
-        }
-
-
-@lru_cache(maxsize=64)
-def table(spec: TruncationSpec) -> CoeffTable:
-    return CoeffTable(spec)
+@lru_cache(maxsize=None)
+def _dress(spec: TruncationSpec) -> dict:
+    """The factor each readout puts on each row of ``layout(spec)``."""
+    rows = layout(spec)
+    factorials = np.array([math.factorial(int(n)) for n in rows.degree], dtype=float)
+    cvals = np.array([float(constant_c(d)) for d in rows.diagrams])
+    return {TAYLOR: np.ones(rows.size), PAIRING_H: 1.0 / factorials, PAIRING_W: cvals / factorials}
 
 
 def psi_to_c(v: FockVector, pairing: str) -> np.ndarray:
     """Monomial coefficients of the function read out of a Fock vector."""
-    return v.array.astype(complex, copy=False).conj() * table(v.spec).dress[pairing]
+    return v.array.astype(complex, copy=False).conj() * _dress(v.spec)[pairing]
 
 
 def c_to_psi(c: np.ndarray, pairing: str, spec: TruncationSpec) -> FockVector:
-    return FockVector(spec, (c / table(spec).dress[pairing]).conjugate())
+    return FockVector(spec, (c / _dress(spec)[pairing]).conjugate())
 
 
 def w_norm_of_c(c: np.ndarray, pairing: str, spec: TruncationSpec) -> float:
     """Weighted norm of the Fock vector represented by the coefficients."""
-    psi = c / table(spec).dress[pairing]
+    psi = c / _dress(spec)[pairing]
     return float(np.sqrt(np.sum(np.abs(psi) ** 2 * layout(spec).gram(GRAM_W))))
 
 
@@ -145,14 +107,14 @@ def _single(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power=Non
 
 def apply_mult_linear(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Multiply by the linear form <x|a>; the top degree's product is dropped."""
-    return _single(c, _direction(a).conj(), table(spec).down)
+    return _single(c, _direction(a).conj(), layout(spec).down)
 
 
 def apply_derivative(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Directional derivative along a of the polynomial with coefficients c."""
-    tab = table(spec)
+    rows = layout(spec)
     # the source key x^(e + e_k) of key e carries the exponent e_k + 1
-    return _single(c, _direction(a), tab.up, tab.exponents + 1)
+    return _single(c, _direction(a), rows.up, rows.exponents + 1)
 
 
 def _series(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power, spans):
@@ -173,17 +135,17 @@ def _series(c: np.ndarray, weights: np.ndarray, neighbour: np.ndarray, power, sp
 def apply_shift(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Substitute x -> x + a; exact because the derivative flow is nilpotent.
     Term m has degree <= top - m, for the top degree of c."""
-    tab, offsets = table(spec), layout(spec).offsets
-    top = int(tab.degree[c.reshape(len(c), -1).any(axis=1)].max(initial=0))
-    spans = [slice(0, offsets[top - m + 1]) for m in range(1, top + 1)]
-    return _series(c, _direction(a), tab.up, tab.exponents + 1, spans)
+    rows = layout(spec)
+    top = int(rows.degree[c.reshape(len(c), -1).any(axis=1)].max(initial=0))
+    spans = [slice(0, rows.offsets[top - m + 1]) for m in range(1, top + 1)]
+    return _series(c, _direction(a), rows.up, rows.exponents + 1, spans)
 
 
 def apply_exp_mult(c: np.ndarray, a, spec: TruncationSpec) -> np.ndarray:
     """Multiply by exp(<x|a>), truncated at the cap.  Term m has degree >= m."""
-    offsets = layout(spec).offsets
-    spans = [slice(offsets[m], offsets[-1]) for m in range(1, spec.max_degree + 1)]
-    return _series(c, _direction(a).conj(), table(spec).down, None, spans)
+    rows = layout(spec)
+    spans = [slice(rows.offsets[m], rows.size) for m in range(1, spec.max_degree + 1)]
+    return _series(c, _direction(a).conj(), rows.down, None, spans)
 
 
 def evaluate_c(c: np.ndarray, x: EVector, spec: TruncationSpec) -> complex:

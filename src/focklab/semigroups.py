@@ -92,10 +92,9 @@ def gw_mult_oracle(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
 
     The generator multiplies by <x|a>, so G^j c has degree >= j.
     """
-    offsets = layout(f.spec).offsets
-    rows = [slice(offsets[j], offsets[-1]) for j in range(1, f.spec.max_degree + 1)]
-    out = _gw_series(f.coefficients(), r, pc._direction(a).conj(), pc.table(f.spec).down, None,
-                     rows)
+    rows = layout(f.spec)
+    spans = [slice(rows.offsets[j], rows.size) for j in range(1, f.spec.max_degree + 1)]
+    out = _gw_series(f.coefficients(), r, pc._direction(a).conj(), rows.down, None, spans)
     return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
 
 
@@ -105,10 +104,10 @@ def gw_shift(f: HardyWFunction, a: EVector, r: float) -> HardyWFunction:
     Exact on polynomials since the derivative is nilpotent: G^j c has degree
     <= top - j, for the top degree of c.
     """
-    c, tab, offsets = f.coefficients(), pc.table(f.spec), layout(f.spec).offsets
-    top = int(tab.degree[c != 0].max(initial=0))
-    rows = [slice(0, offsets[top - j + 1]) for j in range(1, top + 1)]
-    out = _gw_series(c, r, pc._direction(a), tab.up, tab.exponents + 1, rows)
+    c, rows = f.coefficients(), layout(f.spec)
+    top = int(rows.degree[c != 0].max(initial=0))
+    spans = [slice(0, rows.offsets[top - j + 1]) for j in range(1, top + 1)]
+    out = _gw_series(c, r, pc._direction(a), rows.up, rows.exponents + 1, spans)
     return HardyWFunction.from_coefficients(out, f.spec, f.pairing)
 
 

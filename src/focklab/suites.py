@@ -194,6 +194,8 @@ class RunConfig:
     out: str = "reports"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.margin < 0:
             raise ValueError(f"margin must be >= 0, got {self.margin}")
         if self.variant not in ops.VARIANTS:

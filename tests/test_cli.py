@@ -536,6 +536,41 @@ def test_an_unknown_variant_in_a_config_file_is_one_error_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_run_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        cli.RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg", "haar-test", "ftransform"])
+def test_a_negative_seed_flag_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # run all used to write weights.json and then end in a traceback from
+    # SeedSequence, as the other three did before any output
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    monkeypatch.setattr(cli.uh, "haar_moment_report", None)
+    monkeypatch.setattr(cli.hc, "mc_f_transform", None)
+    fn, pts = tmp_path / "fn.json", tmp_path / "pts.json"
+    fn.write_text(json.dumps(cli.chi_to_payload(HardyChiFunction(SPEC, {BasisKey.vacuum(): 1.0}))))
+    pts.write_text(json.dumps({"points": [[[0.5, 0.0], [0.0, 0.0]]]}))
+    argv = {"run": ["run", "all"], "heisenberg": ["heisenberg"], "haar-test": ["haar-test"],
+            "ftransform": ["ftransform", "--function", str(fn), "--points", str(pts)]}[command]
+    out = tmp_path / "out"
+    err = _one_error_line(capsys, argv + ["--seed", "-1", "--out", str(out)])
+    assert err.startswith("focklab: error: --seed: ") and err.endswith("must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+def test_a_negative_seed_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                            command):
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text("seed = -5\n")
+    argv = [command] + (["all"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"focklab: error: {path}: seed must be >= 0, got -5\n"
+    assert not (tmp_path / "out").exists()
+
+
 MALFORMED_POINTS = [5, None, [[1, 2]], [[["a", 1], [0, 0]]], [None]]
 
 

@@ -300,3 +300,35 @@ def test_rational_vectors_stay_exact(a, b, s):
         value = inner(kind, u, v)
         assert isinstance(value, Fraction)
         assert value == sum(c * v.coeffs.get(k, 0) * weight(k.diagram) for k, c in u.coeffs.items())
+
+
+# -- the row lookup -------------------------------------------------------------
+
+SMALL_SPECS = [TruncationSpec(cap, dim) for cap in range(9) for dim in range(1, 6)]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: f"{s.max_degree},{s.dim}")
+def test_find_maps_each_row_to_itself_and_every_other_vector_past_the_end(spec):
+    rows = layout(spec)
+    exponents = np.array([key.exponents(spec.dim) for key in rows.keys], dtype=np.int64)
+    assert rows.find(exponents).tolist() == list(range(rows.size))
+    for k in range(spec.dim):
+        negative = exponents.copy()
+        negative[:, k] = -1
+        assert (rows.find(negative) == rows.size).all()
+    deeper = layout(TruncationSpec(spec.max_degree + 1, spec.dim))
+    assert (rows.find(deeper.exponents[deeper.rows(spec.max_degree + 1)]) == rows.size).all()
+    # leading shapes (), (n,) and (a, b) are kept; an empty batch is empty
+    last = rows.find(exponents[-1])
+    assert last.shape == () and int(last) == rows.size - 1
+    n = min(rows.size, 6) // 2 * 2
+    assert rows.find(exponents[:n].reshape(2, n // 2, spec.dim)).tolist() == (
+        np.arange(n).reshape(2, n // 2).tolist())
+    for shape in [(0,), (2, 0)]:
+        assert rows.find(np.zeros(shape + (spec.dim,), dtype=np.int64)).shape == shape
+    with pytest.raises(ValueError):
+        rows.find(np.zeros(spec.dim + 1, dtype=np.int64))
+    for table in (rows.up, rows.down):
+        assert table.shape == (rows.size, spec.dim)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0

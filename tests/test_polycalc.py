@@ -18,6 +18,7 @@ def _neighbours(spec):
     """Index of key +/- e_k, or -1 outside, built from the key enumeration alone."""
     rows = layout(spec)
     size, d = rows.size, spec.dim
+    index = {key: i for i, key in enumerate(rows.keys)}
     up = np.full((size, d), -1, dtype=np.int64)
     down = np.full((size, d), -1, dtype=np.int64)
     for i, key in enumerate(rows.keys):
@@ -26,11 +27,11 @@ def _neighbours(spec):
             if exps.sum() < spec.max_degree:
                 bumped = exps.copy()
                 bumped[k] += 1
-                up[i, k] = rows.index[BasisKey.from_exponents(bumped)]
+                up[i, k] = index[BasisKey.from_exponents(bumped)]
             if exps[k] > 0:
                 lowered = exps.copy()
                 lowered[k] -= 1
-                down[i, k] = rows.index[BasisKey.from_exponents(lowered)]
+                down[i, k] = index[BasisKey.from_exponents(lowered)]
     return up, down
 
 
@@ -50,7 +51,7 @@ def reference_mult_linear(c, a, spec):
 
 def reference_derivative(c, a, spec):
     _, down = _neighbours(spec)
-    exponents = pc.table(spec).exponents
+    exponents = layout(spec).exponents
     out = np.zeros_like(c)
     nz = np.flatnonzero(c)
     for k in range(spec.dim):
@@ -67,7 +68,7 @@ def reference_derivative(c, a, spec):
 # -- inputs -------------------------------------------------------------------
 
 def _coefficients(spec, rng, columns=None, density=1.0):
-    shape = (pc.table(spec).size(),) + (() if columns is None else (columns,))
+    shape = (layout(spec).size,) + (() if columns is None else (columns,))
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return c * (rng.random(shape) < density)
 
@@ -135,10 +136,18 @@ def test_flows_run_each_column_on_its_own(spec):
 @pytest.mark.parametrize("spec", SPECS)
 def test_flow_tables_follow_the_key_order(spec):
     rows = layout(spec)
-    assert pc.table(spec).exponents.tolist() == [list(key.exponents(spec.dim)) for key in rows.keys]
+    assert layout(spec).exponents.tolist() == [list(key.exponents(spec.dim)) for key in rows.keys]
     # the wide flows rely on the keys of a workspace leading a deeper one
     wide = layout(TruncationSpec(spec.max_degree + 3, spec.dim))
     assert wide.keys[: rows.size] == rows.keys
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_neighbour_tables_match_the_key_built_ones(spec):
+    rows = layout(spec)
+    for table, want in zip((rows.up, rows.down), _neighbours(spec)):
+        assert table.dtype == np.intp
+        assert np.array_equal(table, np.where(want < 0, rows.size, want))
 
 
 # -- fibre flows against the gather series ----------------------------------------
@@ -146,7 +155,7 @@ def test_flow_tables_follow_the_key_order(spec):
 def gather_flow(c, spec, depth, steps):
     """The steps of ``polycalc._flow_at`` run by the gather series at ``depth``."""
     wide = TruncationSpec(max(depth, spec.max_degree), spec.dim)
-    x = np.zeros(pc.table(wide).size(), dtype=complex)
+    x = np.zeros(layout(wide).size, dtype=complex)
     x[: len(c)] = c
     for kind, vec in steps:
         if kind == "shift":
@@ -201,7 +210,7 @@ WEYL_KINDS = ["shift", "mult", "scale", "shift", "mult", "scale", "scale"]
 @pytest.mark.parametrize("spec, depth", [(TruncationSpec(6, 3), 22), (TruncationSpec(6, 4), 10)])
 def test_fibre_flows_match_gather_series_on_weyl_steps(spec, depth):
     rng = np.random.default_rng(depth)
-    c = _coefficients(spec, rng) * (pc.table(spec).degree <= 4)
+    c = _coefficients(spec, rng) * (layout(spec).degree <= 4)
     _assert_flows_agree(c, spec, depth, _steps(spec.dim, rng, WEYL_KINDS, scale=0.4))
 
 
@@ -272,10 +281,10 @@ def test_one_take_gather_equals_the_per_axis_loop_bytewise(dim, cap, n, weight_s
                                                            up, ends, seed, zeros):
     rng = np.random.default_rng(seed)
     spec = TruncationSpec(cap, dim)
-    tab = pc.table(spec)
+    tab = layout(spec)
     # signed zeros and exact small values among the coefficients and weights,
     # and whole direction coordinates zero
-    shape = (tab.size(), 1 if one_column else n)
+    shape = (tab.size, 1 if one_column else n)
     c = rng.choice(_SIGNED, shape) + 1j * rng.choice(_SIGNED, shape)
     if seed % 2:
         c = c + rng.standard_normal(shape)
@@ -283,7 +292,7 @@ def test_one_take_gather_equals_the_per_axis_loop_bytewise(dim, cap, n, weight_s
     weights = rng.standard_normal(shape) + 1j * rng.choice(_SIGNED, shape)
     weights[rng.random(dim) < zeros] = rng.choice(_SIGNED) + 0j
     neighbour, power = (tab.up, tab.exponents + 1) if up else (tab.down, None)
-    rows = slice(*sorted(min(end, tab.size()) for end in ends))
+    rows = slice(*sorted(min(end, tab.size) for end in ends))
     got = pc._gather(pc._padded(c), weights, neighbour, rows, power)
     want = per_axis_gather(pc._padded(c), weights, neighbour, rows, power)
     assert got.shape == want.shape
@@ -318,7 +327,7 @@ def test_sliced_series_equal_the_whole_array_series(dim, cap, top, columns, batc
     rng = np.random.default_rng(seed)
     spec = TruncationSpec(cap, dim)
     # an input of top degree min(top, cap), some direction coordinates zero
-    low = pc.table(spec).degree <= top
+    low = layout(spec).degree <= top
     c = _coefficients(spec, rng, columns) * (low if columns is None else low[:, None])
     # one direction per column, or one for every column
     width = columns or 1
@@ -356,7 +365,7 @@ def test_restarted_probe_matches_a_full_rerun(spec, margin):
                   ["shift", "scale"], ["mult", "mult", "shift"],
                   ["shift", "shift", "scale", "mult", "shift"], ["mult", "shift", "mult", "mult"],
                   ["shift", "mult", "scale"], ["mult"], ["scale"], ["scale", "scale"]):
-        c = _coefficients(spec, rng) * (pc.table(spec).degree <= 4)
+        c = _coefficients(spec, rng) * (layout(spec).degree <= 4)
         steps = _steps(spec.dim, rng, kinds, scale=0.5)
         want = full_rerun_flow(c, spec, margin, steps)
         got = pc._wide_flow(c, spec, margin, steps)

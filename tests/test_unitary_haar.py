@@ -137,6 +137,22 @@ def test_direct_chunk_makes_no_copy_of_the_column_array():
     assert peak <= 1.75 * columns
 
 
+def test_unitarity_defect_subtracts_the_identity_in_place():
+    for m in range(1, 8):
+        u = haar_batch(m, uh.DEFAULT_CHUNK, np.random.default_rng(m))
+        want = float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(m)).max())
+        tracemalloc.start()
+        try:
+            got = unitarity_defect(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.hex() == want.hex(), m
+        # the conjugate and the product are 2x the stack; a U*U - I
+        # temporary beside the product would add another 0.5x
+        assert peak <= 2.25 * u.nbytes, m
+
+
 def test_exact_haar_oracles():
     for m in range(1, 10):
         assert exact_u11_moment(m, 0) == 1
