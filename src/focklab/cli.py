@@ -350,11 +350,10 @@ def cmd_run(args) -> int:
         tols = dict(cfg.tolerances)
         tols.update(_parse_input("--tol", _parse_tol, item) for item in args.tol)
         overrides["tolerances"] = tuple(sorted(tols.items()))
-    # RunConfig checks the seed and the names from --tol; each names its flag
+    # RunConfig checks the seed, the counts and the names from --tol; each names its flag
     for name, value in overrides.items():
         flag = "--tol" if name == "tolerances" else f"--{name}"
         cfg = _parse_input(flag, replace, cfg, **{name: value})
-    _require_at_least(1, {"samples": cfg.samples, "workers": cfg.workers})
 
     names = list(SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     out_dir = Path(cfg.out)

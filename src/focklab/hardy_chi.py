@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import polycalc as pc
-from .fock_core import GRAM_H, GRAM_W, EVector, FockVector, TruncationSpec
+from .fock_core import GRAM_W, EVector, FockVector, TruncationSpec
 from .fock_core import norm_sq as gram_norm_sq
 from .hardy_w import HardyWFunction
-from .operators import W_ADJOINT, adjoint, creation, exp_annihilation, exp_creation
+from .operators import adjoint, creation, exp_annihilation, exp_creation, readout
 from .partitions import BasisKey, w_norm_sq
 from .unitary_haar import estimate, haar_batch, z_score
 
@@ -114,8 +114,7 @@ def chi_mult_generator(
     f: HardyChiFunction, a: EVector, variant: str, order: int = 1
 ) -> HardyChiFunction:
     """Generator of the transported multiplicative group (adjoint conjugated)."""
-    kind = GRAM_W if variant == W_ADJOINT else GRAM_H
-    return _transport(f, adjoint(kind, creation(a, 1, f.spec)), order)
+    return _transport(f, adjoint(readout(variant), creation(a, 1, f.spec)), order)
 
 
 # -- Monte Carlo estimators ---------------------------------------------------

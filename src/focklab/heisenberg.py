@@ -2,14 +2,16 @@
 
 Quaternions are stored as pairs of complex numbers alpha + beta j.  The
 group elements are upper-triangular triples X(a, b, t) with the cocycle
-<a|b'> in the central coordinate.  The representation returned by
-``ws_rep`` sends X(a, b, t) to exp(t) times (multiply by exp<x|b>) after
-(shift by a); this is the composition for which the group cocycle matches
-the shift/multiplication commutation factor exactly, for complex vectors
-included.  The dressed form exp(t + <a|b>/2) (multiply, index a) after
-(shift, index b) fails the representation property by a non-vanishing
-factor; ``ws_rep_displayed`` keeps it available so suites can report its
-residual alongside the working form.
+<a|b'> in the central coordinate.  Every operator is one
+``FlowOperator(shift, mult, scale)``: scale times (multiply by exp<x|mult>)
+after (shift by shift), with its parameters from one of three maps:
+
+- ``weyl(p)``: (b, a, exp(<a|b>/2)) for p = a + b j;
+- ``ws_rep(x)``: (a, b, exp(t)) for x = X(a, b, t), a representation of the
+  group law, for complex vectors included; ``ws_rep(x, "chi")`` carries it
+  to the other model by the transform;
+- ``ws_rep_displayed(x)``: (b, a, exp(t + <a|b>/2)), the dressed form, which
+  is not one; suites report its residual alongside the working form.
 """
 
 from __future__ import annotations
@@ -139,10 +141,19 @@ def aux_mul(
 
 # -- operators on the entire-function side --------------------------------------
 
-class _Flow:
-    """Operator given by ``steps()``, the (kind, vector) flow steps of
-    ``polycalc`` it applies to monomial coefficients.  Composing operators
+@dataclass(frozen=True)
+class FlowOperator:
+    """scale times (multiply by exp<x|mult>) after (shift by shift), as the
+    (kind, vector) flow ``steps()`` of ``polycalc``.  Composing operators
     concatenates their steps, so compositions stay on one dense array."""
+
+    shift: EVector
+    mult: EVector
+    scale: complex
+    margin: int = 0
+
+    def steps(self) -> list:
+        return [("shift", self.shift), ("mult", self.mult), ("scale", self.scale)]
 
     def apply(self, f: HardyWFunction) -> HardyWFunction:
         c = pc._wide_flow(f.coefficients(), f.spec, self.margin, self.steps())
@@ -150,19 +161,18 @@ class _Flow:
 
 
 @dataclass(frozen=True)
-class WeylOperator(_Flow):
+class _Transported:
+    """An operator carried to the other model by the transform."""
+
+    op: FlowOperator
+
+    def apply(self, f: HardyChiFunction) -> HardyChiFunction:
+        return f_transform_inverse(self.op.apply(f_transform(f)))
+
+
+def weyl(p: QuaternionVector, margin: int = 0) -> FlowOperator:
     """exp(<a|b>/2) times (multiply by exp<x|a>) after (shift by b)."""
-
-    p: QuaternionVector
-    margin: int = 0
-
-    def steps(self) -> list:
-        a, b = self.p.a, self.p.b
-        return [("shift", b), ("mult", a), ("scale", np.exp(0.5 * complex(a.inner(b))))]
-
-
-def weyl(p: QuaternionVector, margin: int = 0) -> WeylOperator:
-    return WeylOperator(p, margin)
+    return FlowOperator(p.b, p.a, np.exp(0.5 * complex(p.a.inner(p.b))), margin)
 
 
 def weyl_relation_residual(
@@ -181,65 +191,29 @@ def weyl_relation_residual(
     return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
-@dataclass(frozen=True)
-class WSOperator(_Flow):
-    """Weyl–Schrödinger operator exp(t) (multiply exp<x|b>) after (shift by a)."""
-
-    x: HeisenbergElement
-    margin: int = 0
-
-    def steps(self) -> list:
-        x = self.x
-        return [("shift", x.a), ("mult", x.b), ("scale", np.exp(complex(x.t)))]
-
-
-@dataclass(frozen=True)
-class DisplayedOperator(_Flow):
-    """Dressed variant exp(t + <a|b>/2) (multiply exp<x|a>) after (shift by b)."""
-
-    x: HeisenbergElement
-    margin: int = 0
-
-    def steps(self) -> list:
-        x = self.x
-        scale = np.exp(complex(x.t) + 0.5 * complex(x.a.inner(x.b)))
-        return [("shift", x.b), ("mult", x.a), ("scale", scale)]
-
-
-@dataclass(frozen=True)
-class WSOperatorChi:
-    """The same representation carried to the other model by the transform."""
-
-    x: HeisenbergElement
-    margin: int = 0
-
-    def apply(self, f: HardyChiFunction) -> HardyChiFunction:
-        g = f_transform(f)
-        return f_transform_inverse(WSOperator(self.x, self.margin).apply(g))
-
-
 def ws_rep(x: HeisenbergElement, model: str = "w", margin: int = 0):
     """Group representation X(a,b,t) -> exp(t) M_b T_a on the chosen model.
 
     The cross term produced by commuting the shift past the multiplication is
     exp(<a|b'>), exactly the central cocycle of the group, so the
-    representation property holds for complex parameters as well.
+    representation property holds for complex parameters as well.  On the
+    other model the same operator is conjugated by the transform.
     """
-    if model == "w":
-        return WSOperator(x, margin)
-    if model == "chi":
-        return WSOperatorChi(x, margin)
-    raise ValueError(f"unknown model {model!r}")
+    if model not in ("w", "chi"):
+        raise ValueError(f"unknown model {model!r}")
+    op = FlowOperator(x.a, x.b, np.exp(complex(x.t)), margin)
+    return op if model == "w" else _Transported(op)
 
 
-def ws_rep_displayed(x: HeisenbergElement, margin: int = 0) -> DisplayedOperator:
+def ws_rep_displayed(x: HeisenbergElement, margin: int = 0) -> FlowOperator:
     """Dressed variant exp(t + <a|b>/2) M_a T_b, kept for the record.
 
     Not a representation of this group law: composing two of these against
     the composed element leaves a factor that no choice of real parameters
     removes.  Suites report its residual without a pass contract.
     """
-    return DisplayedOperator(x, margin)
+    scale = np.exp(complex(x.t) + 0.5 * complex(x.a.inner(x.b)))
+    return FlowOperator(x.b, x.a, scale, margin)
 
 
 def ws_homomorphism_residual(
@@ -247,16 +221,15 @@ def ws_homomorphism_residual(
     y: HeisenbergElement,
     f: HardyWFunction,
     margin: int = 16,
-    form=WSOperator,
+    form=ws_rep,
 ) -> float:
     """Residual of W(xy) f = W(x) W(y) f, measured on the original workspace.
 
-    ``form`` is a callable (element, margin) -> operator with ``steps()``; the
-    default is the working representation, ``ws_rep_displayed`` gives the
-    dressed variant.
+    ``form`` maps an element to its ``FlowOperator``; the default is the
+    working representation, ``ws_rep_displayed`` gives the dressed variant.
     """
-    rhs = form(y, 0).steps() + form(x, 0).steps()
-    lhs = form(heis_mul(x, y), 0).steps()
+    rhs = form(y).steps() + form(x).steps()
+    lhs = form(heis_mul(x, y)).steps()
     return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
@@ -269,7 +242,7 @@ def ws_chi_agreement(
     composes the individually transported shift and multiplication (the
     matrix-level creation exponential for the multiplication part).
     """
-    route1 = WSOperatorChi(x, margin).apply(f)
+    route1 = ws_rep(x, "chi", margin).apply(f)
     shifted = f_transform_inverse(shift(f_transform(f), x.a))
     route2 = shift_group_chi(shifted, x.b).scale(np.exp(complex(x.t)))
     return (route1 - route2).norm()

@@ -35,6 +35,13 @@ W_ADJOINT = "w_adjoint"
 VARIANTS = (MONOMIAL, W_ADJOINT)
 
 
+def readout(variant: str) -> str:
+    """The readout under which the annihilation variant intertwines."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown annihilation variant {variant!r}")
+    return GRAM_W if variant == W_ADJOINT else GRAM_H
+
+
 @dataclass
 class OperatorMatrix:
     """Block linear map on the truncated coefficient space.

@@ -194,10 +194,9 @@ class RunConfig:
     out: str = "reports"
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        for name, least in (("seed", 0), ("samples", 1), ("margin", 0), ("workers", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.variant not in ops.VARIANTS:
             raise ValueError(f"variant must be one of {ops.VARIANTS}, got {self.variant!r}")
         # one spelling per set of overrides: sorted, the last of a name wins
@@ -210,8 +209,7 @@ class RunConfig:
         return dict(self.tolerances).get(_tolerance_name(name), default)
 
     def readout(self) -> str:
-        """The readout under which the annihilation variant intertwines."""
-        return fc.GRAM_W if self.variant == ops.W_ADJOINT else fc.GRAM_H
+        return ops.readout(self.variant)
 
     def report_fields(self) -> dict:
         """Configuration as recorded in reports.

@@ -493,8 +493,36 @@ def test_haar_test_cli_rejects_counts_below_one(capsys, monkeypatch, flag):
 
 def test_run_rejects_an_empty_sample_budget(tmp_path, capsys):
     err = _one_error_line(capsys, ["run", "weights", "--samples", "0", "--out", str(tmp_path)])
-    assert err == "focklab: error: samples: must be >= 1, got 0\n"
+    assert err == "focklab: error: --samples: samples must be >= 1, got 0\n"
     assert not list(tmp_path.iterdir())
+
+
+def test_run_rejects_no_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    err = _one_error_line(capsys, ["run", "weights", "--workers", "0", "--out", str(tmp_path)])
+    assert err == "focklab: error: --workers: workers must be >= 1, got 0\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("name", ["samples", "workers"])
+def test_run_config_rejects_a_count_below_one(name):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+        cli.RunConfig(**{name: 0})
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+@pytest.mark.parametrize("name", ["samples", "workers"])
+def test_a_count_below_one_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                              command, name):
+    # the error line used to read "samples: ..." from run, naming neither the
+    # file nor a flag, and heisenberg ran its suite
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text(f"{name} = 0\n")
+    argv = [command] + (["weights"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"focklab: error: {path}: {name} must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_config_rejects_a_negative_margin():

@@ -162,6 +162,14 @@ def test_generator_sandwich_matches_transport():
             assert (via_sandwich - via_transform).norm() < 1e-10
 
 
+@pytest.mark.parametrize("group", [chi_mult_generator, mult_group_chi])
+def test_an_unknown_variant_is_rejected_by_both_multiplicative_routes(group):
+    # the generator used to read any unknown variant as the plain readout
+    f = _random_chi(np.random.default_rng(2), degree=2)
+    with pytest.raises(ValueError, match="unknown annihilation variant 'bogus'"):
+        group(f, EVector((0.3, 0.0, 0.0)), "bogus")
+
+
 def test_mc_closed_forms_level_one():
     x = EVector((0.7 - 0.2j, 0.0, 0.0))
     const = HardyChiFunction.constant(SPEC)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from focklab.fock_core import EVector, FockVector, TruncationSpec
-from focklab.hardy_chi import HardyChiFunction, f_transform_inverse
+from focklab.hardy_chi import HardyChiFunction, f_transform, f_transform_inverse
 from focklab.hardy_w import (
     HardyWFunction,
     evaluate,
@@ -274,6 +274,50 @@ def test_chi_rep_homomorphism():
         SPEC, {k: v for k, v in diff.coeffs.items() if SPEC.contains(k)}
     )
     assert narrowed.norm() < 1e-10
+
+
+def _element(rng):
+    return HeisenbergElement(random_evector(3, rng, 0.5), random_evector(3, rng, 0.5),
+                             complex(*rng.standard_normal(2)) * 0.3)
+
+
+def _bits(value) -> bytes:
+    return np.complex128(value).tobytes()
+
+
+def test_the_three_parameter_maps_keep_their_steps_bit_for_bit():
+    # each step list written out: the shift vector, the multiplication
+    # vector and the scale, computed by the same expression
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        p = QuaternionVector(random_evector(3, rng, 0.5), random_evector(3, rng, 0.5))
+        x = _element(rng)
+        cases = [
+            (weyl(p), p.b, p.a, np.exp(0.5 * complex(p.a.inner(p.b)))),
+            (ws_rep(x), x.a, x.b, np.exp(complex(x.t))),
+            (ws_rep_displayed(x), x.b, x.a,
+             np.exp(complex(x.t) + 0.5 * complex(x.a.inner(x.b)))),
+        ]
+        for op, shift, mult, scale in cases:
+            (k1, v1), (k2, v2), (k3, v3) = op.steps()
+            assert (k1, k2, k3) == ("shift", "mult", "scale")
+            assert v1 is shift and v2 is mult
+            assert _bits(v3) == _bits(scale)
+
+
+def test_the_chi_model_is_the_transform_conjugate_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for _ in range(50):
+        f = f_transform_inverse(random_polynomial(SPEC, rng, 3, scale=0.7))
+        x = _element(rng)
+        want = f_transform_inverse(ws_rep(x).apply(f_transform(f)))
+        assert ws_rep(x, "chi").apply(f).array.tobytes() == want.array.tobytes()
+
+
+def test_ws_rep_rejects_an_unknown_model():
+    x = HeisenbergElement.identity(3)
+    with pytest.raises(ValueError, match="unknown model 'other'"):
+        ws_rep(x, "other")
 
 
 def test_orbit_rank_probe_full_rank():

@@ -30,6 +30,7 @@ from focklab.operators import (
     exp_creation,
     export_blocks,
     load_blocks,
+    readout,
 )
 from focklab.partitions import BasisKey, degree_keys
 
@@ -470,3 +471,9 @@ def test_exact_tensor_power_equals_the_per_monomial_product(dim, n, data):
     got, want = tensor_power(x, n, spec).array, _power_by_monomials(x, n, spec)
     assert got.dtype == object and list(got) == list(want)
     assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_readout_of_each_variant():
+    assert (readout(W_ADJOINT), readout(MONOMIAL)) == (GRAM_W, GRAM_H)
+    with pytest.raises(ValueError, match="unknown annihilation variant 'bogus'"):
+        readout("bogus")

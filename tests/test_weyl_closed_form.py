@@ -20,13 +20,13 @@ from focklab import polycalc as pc
 from focklab.fock_core import EVector, TruncationSpec
 from focklab.hardy_w import random_evector, random_polynomial
 from focklab.heisenberg import (
-    DisplayedOperator,
     HeisenbergElement,
     QuaternionVector,
-    WSOperator,
     eh_im,
     heis_mul,
     weyl,
+    ws_rep,
+    ws_rep_displayed,
 )
 
 SPEC = TruncationSpec(6, 3)
@@ -75,9 +75,9 @@ def _step_lists(rng):
         "real weyl lhs": weyl(p + q).steps(),
         "real weyl rhs": _weyl_rhs(p, q),
         "complex weyl rhs": _weyl_rhs(pc_, qc_),
-        "ws lhs": WSOperator(heis_mul(x, y)).steps(),
-        "ws rhs": WSOperator(y).steps() + WSOperator(x).steps(),
-        "displayed rhs": DisplayedOperator(y).steps() + DisplayedOperator(x).steps(),
+        "ws lhs": ws_rep(heis_mul(x, y)).steps(),
+        "ws rhs": ws_rep(y).steps() + ws_rep(x).steps(),
+        "displayed rhs": ws_rep_displayed(y).steps() + ws_rep_displayed(x).steps(),
     }
 
 
@@ -142,7 +142,7 @@ def test_lists_without_a_shift_after_a_multiplication_run_on_spec(monkeypatch):
     f = random_polynomial(SPEC, rng, 4, scale=0.7)
     p, q, x = _quaternion(rng, True), _quaternion(rng, True), _element(rng)
     pc._wide_flow(f.coefficients(), SPEC, MARGIN, weyl(p + q).steps())
-    WSOperator(x, MARGIN).apply(f)
+    ws_rep(x, "w", MARGIN).apply(f)
     weyl(q, MARGIN).apply(f)
     assert len(calls) == 3
     assert {depth for depth, _ in calls} == {SPEC.max_degree}
