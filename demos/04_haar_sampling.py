@@ -38,7 +38,7 @@ print("  input size 4, output size 3, unitarity defect:", unitarity_defect(v))
 
 print()
 print("=== a stabilised chain below a size-4 top ===")
-chain = embed_stabilized(u, 6)
+chain = embed_stabilized(u)
 for k in (3, 2, 1):
     defect = unitarity_defect(chain.level(k))
     print(f"  level {k}: unitary (defect {defect:.1e})")
@@ -48,7 +48,7 @@ print("  level 6 repeats the top inside an identity frame:",
 print()
 print("=== the right action by the pair (v, w) ===")
 g = haar_sample(3, rng)
-emb = embed_stabilized(g, 5)
+emb = embed_stabilized(g)
 acted = right_action(emb, g, g, 3)
 print("  acting with the embedding pair reproduces the matrix:",
       np.abs(acted.level(3) - g).max())

@@ -331,7 +331,8 @@ def cmd_gw(args) -> int:
 
 def cmd_heisenberg(args) -> int:
     cfg = _parse_input(str(args.config), load_config, args.config)
-    cfg = _parse_input("--seed", replace, cfg, seed=args.seed)
+    if args.seed is not None:
+        cfg = _parse_input("--seed", replace, cfg, seed=args.seed)
     report = run_suite("heisenberg", cfg)
     write_json(report, args.out)
     return 0 if report["passed"] else 1
@@ -423,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("heisenberg", help="run the Heisenberg/Weyl suite")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_heisenberg)
 

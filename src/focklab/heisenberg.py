@@ -12,6 +12,9 @@ after (shift by shift), with its parameters from one of three maps:
   to the other model by the transform;
 - ``ws_rep_displayed(x)``: (b, a, exp(t + <a|b>/2)), the dressed form, which
   is not one; suites report its residual alongside the working form.
+
+One operator is exact on the truncated space and takes no margin; only a
+composed residual, where a shift follows a multiplication, takes one.
 """
 
 from __future__ import annotations
@@ -150,13 +153,12 @@ class FlowOperator:
     shift: EVector
     mult: EVector
     scale: complex
-    margin: int = 0
 
     def steps(self) -> list:
         return [("shift", self.shift), ("mult", self.mult), ("scale", self.scale)]
 
     def apply(self, f: HardyWFunction) -> HardyWFunction:
-        c = pc._wide_flow(f.coefficients(), f.spec, self.margin, self.steps())
+        c = pc._wide_flow(f.coefficients(), f.spec, 0, self.steps())
         return HardyWFunction.from_coefficients(c, f.spec, f.pairing)
 
 
@@ -170,9 +172,9 @@ class _Transported:
         return f_transform_inverse(self.op.apply(f_transform(f)))
 
 
-def weyl(p: QuaternionVector, margin: int = 0) -> FlowOperator:
+def weyl(p: QuaternionVector) -> FlowOperator:
     """exp(<a|b>/2) times (multiply by exp<x|a>) after (shift by b)."""
-    return FlowOperator(p.b, p.a, np.exp(0.5 * complex(p.a.inner(p.b))), margin)
+    return FlowOperator(p.b, p.a, np.exp(0.5 * complex(p.a.inner(p.b))))
 
 
 def weyl_relation_residual(
@@ -191,7 +193,7 @@ def weyl_relation_residual(
     return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
-def ws_rep(x: HeisenbergElement, model: str = "w", margin: int = 0):
+def ws_rep(x: HeisenbergElement, model: str = "w"):
     """Group representation X(a,b,t) -> exp(t) M_b T_a on the chosen model.
 
     The cross term produced by commuting the shift past the multiplication is
@@ -201,11 +203,11 @@ def ws_rep(x: HeisenbergElement, model: str = "w", margin: int = 0):
     """
     if model not in ("w", "chi"):
         raise ValueError(f"unknown model {model!r}")
-    op = FlowOperator(x.a, x.b, np.exp(complex(x.t)), margin)
+    op = FlowOperator(x.a, x.b, np.exp(complex(x.t)))
     return op if model == "w" else _Transported(op)
 
 
-def ws_rep_displayed(x: HeisenbergElement, margin: int = 0) -> FlowOperator:
+def ws_rep_displayed(x: HeisenbergElement) -> FlowOperator:
     """Dressed variant exp(t + <a|b>/2) M_a T_b, kept for the record.
 
     Not a representation of this group law: composing two of these against
@@ -213,7 +215,7 @@ def ws_rep_displayed(x: HeisenbergElement, margin: int = 0) -> FlowOperator:
     removes.  Suites report its residual without a pass contract.
     """
     scale = np.exp(complex(x.t) + 0.5 * complex(x.a.inner(x.b)))
-    return FlowOperator(x.b, x.a, scale, margin)
+    return FlowOperator(x.b, x.a, scale)
 
 
 def ws_homomorphism_residual(
@@ -233,24 +235,20 @@ def ws_homomorphism_residual(
     return pc._wide_residual(f.coefficients(), f.spec, margin, lhs, rhs, f.pairing)
 
 
-def ws_chi_agreement(
-    x: HeisenbergElement, f: HardyChiFunction, margin: int = 8
-) -> float:
+def ws_chi_agreement(x: HeisenbergElement, f: HardyChiFunction) -> float:
     """Distance between the transported route and the stepwise direct route.
 
     Route one conjugates the whole operator by the transform; route two
     composes the individually transported shift and multiplication (the
     matrix-level creation exponential for the multiplication part).
     """
-    route1 = ws_rep(x, "chi", margin).apply(f)
+    route1 = ws_rep(x, "chi").apply(f)
     shifted = f_transform_inverse(shift(f_transform(f), x.a))
     route2 = shift_group_chi(shifted, x.b).scale(np.exp(complex(x.t)))
     return (route1 - route2).norm()
 
 
-def orbit_rank_probe(
-    spec: TruncationSpec, count: int, seed: int, margin: int = 8
-) -> dict:
+def orbit_rank_probe(spec: TruncationSpec, count: int, seed: int) -> dict:
     """Heuristic irreducibility shadow: rank of the orbit of the constant.
 
     Applies ``count`` random group elements to the constant function and
@@ -268,7 +266,7 @@ def orbit_rank_probe(
         a = EVector(tuple(rng.standard_normal(spec.dim) * 0.7))
         b = EVector(tuple(rng.standard_normal(spec.dim) * 0.7))
         t = complex(rng.standard_normal() * 0.3)
-        image = ws_rep(HeisenbergElement(a, b, t), "w", margin).apply(ones)
+        image = ws_rep(HeisenbergElement(a, b, t), "w").apply(ones)
         rows.append(image.coefficients())
     matrix = np.vstack(rows)
     rank = int(np.linalg.matrix_rank(matrix, tol=1e-10))

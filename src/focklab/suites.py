@@ -238,12 +238,9 @@ class Case:
     statement: str
     residual: float
     tolerance: float
-    contracted: bool = True
 
     @property
     def status(self) -> str:
-        if not self.contracted:
-            return "report"
         return "pass" if self.residual <= self.tolerance else "fail"
 
     def as_dict(self) -> dict:
@@ -772,7 +769,7 @@ def suite_heisenberg(cfg: RunConfig):
         x = relem(0.5)
         fw = hw.random_polynomial(spec, rng, 4)
         f = hc.f_transform_inverse(fw)
-        _worst(res, "heisenberg.model_conjugation", hei.ws_chi_agreement(x, f, margin=cfg.margin))
+        _worst(res, "heisenberg.model_conjugation", hei.ws_chi_agreement(x, f))
         central = hei.HeisenbergElement(
             fc.EVector.zero(3), fc.EVector.zero(3), complex(0.3, -0.2)
         )
@@ -824,15 +821,15 @@ def suite_haar(cfg: RunConfig):
 
     rng0 = _rng(cfg, "haar.chain")
     for _ in range(20):
-        v = uh.embed_stabilized(uh.haar_sample(4, rng0), 6)
-        for k in (1, 2, 3):
-            direct = uh.livsic_project(v.level(k + 1))
+        v = uh.embed_stabilized(uh.haar_sample(4, rng0))
+        for k in range(1, 6):
+            direct = uh.livsic_project_batch(v.level(k + 1)[None])[0][0]
             _worst(res, "haar.chain_consistency", float(np.abs(v.level(k) - direct).max()))
 
     rng1 = _rng(cfg, "haar.action")
     for _ in range(10):
         g = uh.haar_sample(3, rng1)
-        emb = uh.embed_stabilized(g, 5)
+        emb = uh.embed_stabilized(g)
         acted = uh.right_action(emb, g, g, 3)
         _worst(res, "haar.action_spot", float(np.abs(acted.level(3) - g).max()))
 
@@ -984,5 +981,5 @@ def run_suite(name: str, cfg: RunConfig) -> dict:
         "resolved": {"pairing": cfg.readout(), "variant": cfg.variant},
         "cases": [case.as_dict() for case in cases],
         "studies": studies,
-        "passed": all(case.status != "fail" for case in cases),
+        "passed": all(case.status == "pass" for case in cases),
     }

@@ -8,6 +8,8 @@ copy, for callers that keep a stack.  Every Monte Carlo estimate runs
 through ``estimate``: chunk i of the budget draws from
 ``SeedSequence(seed, spawn_key=(i,))`` and the chunks' statistics merge in
 chunk order, so results are bitwise reproducible for any worker count.
+A virtual unitary of U(infinity) is fixed by its top matrix alone: the levels
+below are its Livšic projections, the levels above pad it by an identity.
 """
 
 from __future__ import annotations
@@ -135,13 +137,10 @@ class VirtualUnitary:
 
     top_level: int
     top: np.ndarray
-    depth: int = 0
     _chain: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         assert_unitary(self.top)
-        if self.depth < self.top_level:
-            self.depth = self.top_level
 
     def level(self, k: int) -> np.ndarray:
         if k < 1:
@@ -159,12 +158,9 @@ class VirtualUnitary:
         return cached
 
 
-def embed_stabilized(u_m: np.ndarray, depth: int) -> VirtualUnitary:
+def embed_stabilized(u_m: np.ndarray) -> VirtualUnitary:
     """Stabilised sequence of a finite unitary; identity embeds to identities."""
-    m = u_m.shape[0]
-    if depth < m:
-        raise ValueError("depth must be at least the matrix size")
-    return VirtualUnitary(m, np.array(u_m, dtype=complex), depth)
+    return VirtualUnitary(u_m.shape[0], np.array(u_m, dtype=complex))
 
 
 def _pad(v: np.ndarray, m: int) -> np.ndarray:
@@ -189,7 +185,7 @@ def right_action(
     assert_unitary(w_m)
     new_top = w_m.conj().T @ u.level(m) @ v_m
     assert_unitary(new_top)
-    return VirtualUnitary(m, new_top, max(u.depth, m))
+    return VirtualUnitary(m, new_top)
 
 
 # -- chunked Monte Carlo engine ----------------------------------------------
@@ -364,10 +360,8 @@ def _haar_chunk(rng: np.random.Generator, count: int, m: int, transform: str):
 
 @dataclass
 class MomentEstimate:
-    name: str
     mean: float
     stderr: float
-    samples: int
 
     def z_against(self, target: float) -> float:
         return z_score(self.mean, target, self.stderr)
@@ -405,7 +399,7 @@ def sample_moments(
     """
     means, extras = estimate(_haar_chunk, (m, transform), samples, seed, workers)
     estimates = {
-        name: MomentEstimate(name, float(mean), stderr, samples)
+        name: MomentEstimate(float(mean), stderr)
         for name, (mean, stderr) in means.items()
     }
     diagnostics = {

@@ -373,7 +373,7 @@ def test_ac10_heisenberg():
     agree_worst = 0.0
     for _ in range(20):
         f = f_transform_inverse(random_polynomial(spec, rng, 4))
-        agree_worst = max(agree_worst, ws_chi_agreement(rand_elem(), f, margin=12))
+        agree_worst = max(agree_worst, ws_chi_agreement(rand_elem(), f))
     ok &= agree_worst <= 1e-10
     _report(10, "quaternions, group axioms, Weyl relation, representation, both models"
                 f" (weyl {weyl_worst:.2e}, rep {homo_worst:.2e})",

@@ -51,8 +51,7 @@ def test_config_hash_ignores_out_and_workers():
 def test_case_status():
     good = cli.Case("x", "s", 1e-12, 1e-10)
     bad = cli.Case("x", "s", 1e-8, 1e-10)
-    study = cli.Case("x", "s", 99.0, 0.0, contracted=False)
-    assert good.status == "pass" and bad.status == "fail" and study.status == "report"
+    assert good.status == "pass" and bad.status == "fail"
 
 
 def test_weights_suite_and_report(tmp_path):
@@ -587,6 +586,21 @@ def test_a_negative_seed_flag_is_one_error_line(tmp_path, capsys, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, flags, seed", [
+    ("", [], 20240801), ("seed = 5\n", [], 5), ("seed = 5\n", ["--seed", "7"], 7)],
+    ids=["default", "file", "flag"])
+def test_heisenberg_takes_the_seed_of_its_config_file(tmp_path, monkeypatch, lines, flags, seed):
+    # the --seed default used to override the file, so "seed = 5" ran at 20240801
+    seen = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda name, cfg: seen.append(cfg) or {"passed": True})
+    path = tmp_path / "cfg"
+    path.write_text(lines)
+    assert cli.main(["heisenberg", "--config", str(path), *flags,
+                     "--out", str(tmp_path / "heisenberg.json")]) == 0
+    assert [cfg.seed for cfg in seen] == [seed]
+
+
 @pytest.mark.parametrize("command", ["run", "heisenberg"])
 def test_a_negative_seed_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
                                                             command):
@@ -659,3 +673,21 @@ def test_reproducibility_case_compares_stderrs_and_diagnostics(monkeypatch, chan
     case = suites.declared_case("haar.reproducibility", suites._reproducibility_residual(cfg), cfg)
     assert case.status == ("pass" if change is None else "fail")
     assert (case.residual == 0.0) == (change is None)
+
+
+# -- haar.chain_consistency checks the chain against the batch projection ----
+
+@pytest.mark.parametrize("faulty", [False, True])
+def test_chain_consistency_sees_a_fault_in_the_livsic_projection(monkeypatch, faulty):
+    # the case used to compare level(k) with livsic_project(level(k + 1)),
+    # which is how level(k) is built, so a sign fault still read 0.0
+    def livsic_project(u):
+        m = u.shape[0] - 1
+        return u[:m, :m] + (u[:m, m:] @ u[m:, :m]) / (1.0 + u[m, m])
+
+    if faulty:
+        monkeypatch.setattr(uh, "livsic_project", livsic_project)
+    monkeypatch.setattr(suites, "_reproducibility_residual", lambda cfg: 0.0)
+    residuals, _ = suites.suite_haar(cli.RunConfig(samples=200))
+    residual = residuals["haar.chain_consistency"]
+    assert (residual > 1.0) if faulty else (residual == 0.0)

@@ -252,7 +252,7 @@ def test_chi_model_agreement():
             random_evector(3, rng, 0.5),
             complex(rng.standard_normal() * 0.3),
         )
-        assert ws_chi_agreement(x, f, margin=12) < 1e-10
+        assert ws_chi_agreement(x, f) < 1e-10
 
 
 def test_chi_rep_homomorphism():

@@ -142,8 +142,8 @@ def test_lists_without_a_shift_after_a_multiplication_run_on_spec(monkeypatch):
     f = random_polynomial(SPEC, rng, 4, scale=0.7)
     p, q, x = _quaternion(rng, True), _quaternion(rng, True), _element(rng)
     pc._wide_flow(f.coefficients(), SPEC, MARGIN, weyl(p + q).steps())
-    ws_rep(x, "w", MARGIN).apply(f)
-    weyl(q, MARGIN).apply(f)
+    ws_rep(x, "w").apply(f)
+    weyl(q).apply(f)
     assert len(calls) == 3
     assert {depth for depth, _ in calls} == {SPEC.max_degree}
 
