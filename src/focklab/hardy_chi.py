@@ -81,12 +81,9 @@ def f_transform_inverse(g: HardyWFunction) -> HardyChiFunction:
 
 # -- transported operator groups ----------------------------------------------
 
-def _transport(f: HardyChiFunction, op, order: int = 1) -> HardyChiFunction:
-    """phi_map(op^order (phi_map_adjoint(f))): a Fock operator carried over."""
-    psi = phi_map_adjoint(f)
-    for _ in range(order):
-        psi = op.apply(psi)
-    return phi_map(psi)
+def _transport(f: HardyChiFunction, op) -> HardyChiFunction:
+    """phi_map(op(phi_map_adjoint(f))): a Fock operator carried over."""
+    return phi_map(op.apply(phi_map_adjoint(f)))
 
 
 def mult_group_chi(f: HardyChiFunction, a: EVector, variant: str) -> HardyChiFunction:
@@ -105,16 +102,14 @@ def shift_group_chi(f: HardyChiFunction, a: EVector) -> HardyChiFunction:
     return _transport(f, exp_creation(a, f.spec))
 
 
-def chi_shift_generator(f: HardyChiFunction, a: EVector, order: int = 1) -> HardyChiFunction:
+def chi_shift_generator(f: HardyChiFunction, a: EVector) -> HardyChiFunction:
     """Generator of the transported shift group (creation conjugated over)."""
-    return _transport(f, creation(a, 1, f.spec), order)
+    return _transport(f, creation(a, 1, f.spec))
 
 
-def chi_mult_generator(
-    f: HardyChiFunction, a: EVector, variant: str, order: int = 1
-) -> HardyChiFunction:
+def chi_mult_generator(f: HardyChiFunction, a: EVector, variant: str) -> HardyChiFunction:
     """Generator of the transported multiplicative group (adjoint conjugated)."""
-    return _transport(f, adjoint(readout(variant), creation(a, 1, f.spec)), order)
+    return _transport(f, adjoint(readout(variant), creation(a, 1, f.spec)))
 
 
 # -- Monte Carlo estimators ---------------------------------------------------
@@ -144,7 +139,9 @@ class MCEstimate:
 
 def _transform_kernel(rng, count, level, items, x_coords, degrees):
     """Values of exp(conj(phi_x)) f under "full" and of each Taylor term under its degree."""
-    rows = haar_batch(level, count, rng)[:, 0, :]
+    # row 0 as one contiguous copy: through the strided stack, rows @ xbar may
+    # round differently (by ~1e-15), so the estimate would depend on the layout
+    rows = np.ascontiguousarray(haar_batch(level, count, rng)[:, 0, :])
     xbar = np.array([complex(v).conjugate() for v in x_coords])
     width = min(rows.shape[1], xbar.size)
     phi_x = rows[:, :width] @ xbar[:width]
@@ -249,7 +246,7 @@ def norm_convergence_study(
 
 
 def _pair_kernel(rng, count, level, key1, key2):
-    rows = haar_batch(level, count, rng)[:, 0, :]
+    rows = np.ascontiguousarray(haar_batch(level, count, rng)[:, 0, :])
     left = _eval_keys_on_rows(rows, ((key1, 1.0),))
     right = _eval_keys_on_rows(rows, ((key2, 1.0),))
     return {"pair": left * right.conj()}, None

@@ -201,8 +201,10 @@ class RunConfig:
             raise ValueError(f"variant must be one of {ops.VARIANTS}, got {self.variant!r}")
         # one spelling per set of overrides: sorted, the last of a name wins
         tolerances = tuple(sorted(dict(self.tolerances).items()))
-        for name, _ in tolerances:
+        for name, value in tolerances:
             _tolerance_name(name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"tolerance {name!r} must be finite and >= 0, got {value}")
         object.__setattr__(self, "tolerances", tolerances)
 
     def tol(self, name: str, default: float) -> float:

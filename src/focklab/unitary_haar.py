@@ -2,9 +2,9 @@
 
 Sampling orthonormalises complex Gaussian matrices Z = QR by Gram-Schmidt, a
 whole chunk at once; Q with R_jj > 0, the QR factor with the phase fix
-R_jj/|R_jj|, is exactly Haar (Mezzadri 2007).  The Monte Carlo chunks read the
-sampler's column array in place, as a view; ``haar_batch`` is its contiguous
-copy, for callers that keep a stack.  Every Monte Carlo estimate runs
+R_jj/|R_jj|, is exactly Haar (Mezzadri 2007).  ``haar_batch`` is the one
+sampler, and it returns its column array as a transposed view, so no copy of
+a chunk is made.  Every Monte Carlo estimate runs
 through ``estimate``: chunk i of the budget draws from
 ``SeedSequence(seed, spawn_key=(i,))`` and the chunks' statistics merge in
 chunk order, so results are bitwise reproducible for any worker count.
@@ -58,18 +58,15 @@ def chunk_plan(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]
 
 
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` Haar unitaries of size m, C-contiguous.
+    """Stack of ``count`` Haar unitaries of size m, shape (count, m, m).
 
     Each is the phase-fixed QR factor Q (R_jj > 0) of a standard complex
     Gaussian matrix, found by classical Gram-Schmidt run twice per column
     ("twice is enough": Giraud, Langou & Rozložník 2005).  Each step treats
-    one column of every sample at once, as one array operation.
+    one column of every sample at once, as one array operation, so the
+    chunk is built in column order, entry [j, i, s] being U_s[i, j]; the
+    stack is the transposed view of that array, not a C-contiguous copy.
     """
-    return np.ascontiguousarray(_haar_columns(m, count, rng).transpose(2, 1, 0))
-
-
-def _haar_columns(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The samples of ``haar_batch`` in column order: entry [j, i, s] is U_s[i, j]."""
     if m < 1:
         raise ValueError("size must be >= 1")
     q = np.empty((m, m, count), dtype=complex)
@@ -81,7 +78,7 @@ def _haar_columns(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
             for k, c in enumerate(coeffs):
                 col -= q[k] * c
         col /= np.linalg.norm(col, axis=0)
-    return q
+    return q.transpose(2, 1, 0)
 
 
 def haar_sample(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,6 +110,8 @@ def livsic_project(u: np.ndarray) -> np.ndarray:
 def livsic_project_batch(u: np.ndarray) -> tuple[np.ndarray, int]:
     """Vectorised projection of a stack; returns (stack, branch event count)."""
     m = u.shape[-1] - 1
+    if m < 1:
+        raise ValueError("input must be at least 2x2")
     z = u[:, :m, :m]
     a = u[:, :m, m:]
     b = u[:, m:, :m]
@@ -145,12 +144,8 @@ class VirtualUnitary:
     def level(self, k: int) -> np.ndarray:
         if k < 1:
             raise ValueError("level must be >= 1")
-        if k == self.top_level:
-            return self.top
-        if k > self.top_level:
-            out = np.eye(k, dtype=complex)
-            out[: self.top_level, : self.top_level] = self.top
-            return out
+        if k >= self.top_level:
+            return _pad(self.top, k)
         cached = self._chain.get(k)
         if cached is None:
             cached = livsic_project(self.level(k + 1))
@@ -294,6 +289,7 @@ def z_score(value, target, stderr: float) -> float:
 # -- moment machinery --------------------------------------------------------
 
 MOMENT_NAMES = ("abs_u11_sq", "abs_u11_quad", "abs_trace_sq", "re_u11", "im_u11")
+TRANSFORMS = ("direct", "project", "left", "right")
 
 
 def exact_u11_moment(m: int, k: int) -> Fraction:
@@ -343,14 +339,11 @@ def _moment_values(batch: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _haar_chunk(rng: np.random.Generator, count: int, m: int, transform: str):
-    """Moment values of ``count`` samples; the extra is (branch events, worst defect).
-
-    The stack is a view of the column array, read in place with no copy.
-    """
+    """Moment values of ``count`` samples; the extra is (branch events, worst defect)."""
     if transform == "project":
-        batch, branches = livsic_project_batch(_haar_columns(m + 1, count, rng).transpose(2, 1, 0))
+        batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
         return _moment_values(batch), (branches, unitarity_defect(batch))
-    batch = _haar_columns(m, count, rng).transpose(2, 1, 0)
+    batch = haar_batch(m, count, rng)
     if transform == "left":
         batch = _fourier_unitary(m) @ batch
     elif transform == "right":
@@ -397,6 +390,10 @@ def sample_moments(
     that side.  Returns the estimates and a small diagnostics record (branch
     events and the worst unitarity defect seen among projected matrices).
     """
+    if m < 1:
+        raise ValueError("size must be >= 1")
+    if transform not in TRANSFORMS:
+        raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
     means, extras = estimate(_haar_chunk, (m, transform), samples, seed, workers)
     estimates = {
         name: MomentEstimate(float(mean), stderr)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -399,7 +400,8 @@ _NAME = st.sampled_from(sorted(cli.TOLERANCE_NAMES))
     levels=st.lists(st.integers(1, 64), min_size=1, max_size=6).map(tuple),
     variant=st.sampled_from(cli.ops.VARIANTS),
     out=st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True),
-    tols=st.dictionaries(_NAME, st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+    tols=st.dictionaries(_NAME, st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                         max_size=4),
 )
 def test_config_file_round_trip(tmp_path_factory, seed, samples, margin, workers, levels,
                                 variant, out, tols):
@@ -541,6 +543,37 @@ def test_a_negative_margin_in_a_config_file_is_one_error_line(tmp_path, capsys, 
     argv = [command] + (["heisenberg"] if command == "run" else []) + ["--config", str(path)]
     err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
     assert err == f"focklab: error: {path}: margin must be >= 0, got {margin}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_run_config_rejects_a_tolerance_below_zero_or_not_finite(value):
+    with pytest.raises(ValueError, match=f"tolerance 'gw' must be finite and >= 0, got {value}"):
+        cli.RunConfig(tolerances=(("gw", value),))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_a_tol_override_below_zero_or_not_finite_is_one_error_line(tmp_path, capsys,
+                                                                    monkeypatch, value):
+    # nan used to fail five gw cases and write "tolerance": NaN, which is not JSON
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    argv = ["run", "gw", "--tol", f"gw={value}", "--out", str(tmp_path / "out")]
+    err = _one_error_line(capsys, argv)
+    assert err == f"focklab: error: --tol: tolerance 'gw' must be finite and >= 0, got {float(value)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+@pytest.mark.parametrize("value", ["nan", "-inf", "-1e-3"])
+def test_a_config_tolerance_below_zero_or_not_finite_is_one_error_line(tmp_path, capsys,
+                                                                       monkeypatch, command,
+                                                                       value):
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text(f"tol.weyl = {value}\n")
+    argv = [command] + (["heisenberg"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == f"focklab: error: {path}: tolerance 'weyl' must be finite and >= 0, got {float(value)}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -2,8 +2,9 @@
 
 Chunking, substreams, the process pool and the merge are private to
 ``unitary_haar``; other modules hand a kernel to ``estimate``, and every Haar
-sample comes from ``haar_batch``.  These checks read the source with ``ast``,
-so they hold without running any estimator.
+sample comes from ``haar_batch``, the one function that draws Gaussians for
+them.  These checks read the source with ``ast``, so they hold without
+running any estimator.
 """
 
 import ast
@@ -64,6 +65,47 @@ def test_no_module_calls_a_lapack_qr(path):
     # Haar samples come from the one Gram-Schmidt sampler in ``haar_batch``;
     # LAPACK's QR stays in the tests as its independent oracle.
     assert _called_names(ast.parse(path.read_text()))["qr"] == 0
+
+
+def _callers(tree, name: str) -> list[str]:
+    """Top-level definitions of ``tree`` that call ``name``; "<module>" for other statements."""
+    return [getattr(node, "name", "<module>") for node in tree.body if _called_names(node)[name]]
+
+
+def _defined(tree) -> set[str]:
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def _tree(stem: str):
+    return ast.parse((Path(focklab.__file__).parent / f"{stem}.py").read_text())
+
+
+def test_haar_batch_is_the_one_sampler():
+    assert _callers(_tree(OWNER), "standard_normal") == ["haar_batch"]
+    assert all("_haar_columns" not in _defined(ast.parse(p.read_text())) for p in SOURCES)
+
+
+@pytest.mark.parametrize("module, kernel", [(OWNER, "_haar_chunk"),
+                                            ("hardy_chi", "_transform_kernel"),
+                                            ("hardy_chi", "_pair_kernel")])
+def test_each_monte_carlo_kernel_samples_through_haar_batch(module, kernel):
+    assert kernel in _callers(_tree(module), "haar_batch")
+
+
+def test_guard_sees_a_second_sampler():
+    tree = ast.parse(
+        "def haar_batch(m, count, rng):\n"
+        "    return np.ascontiguousarray(_haar_columns(m, count, rng))\n"
+        "def _haar_columns(m, count, rng):\n"
+        "    return rng.standard_normal((count, m, m))\n"
+        "def _haar_chunk(rng, count, m, transform):\n"
+        "    return _moment_values(_haar_columns(m, count, rng))\n"
+        "z = rng.standard_normal(3)\n"
+    )
+    assert _callers(tree, "standard_normal") == ["_haar_columns", "<module>"]
+    assert "_haar_columns" in _defined(tree)
+    assert _callers(tree, "haar_batch") == []
+    assert _callers(tree, "_haar_columns") == ["haar_batch", "_haar_chunk"]
 
 
 def test_guard_sees_a_private_import_and_a_protocol_call():

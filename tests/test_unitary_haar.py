@@ -63,7 +63,7 @@ def test_haar_batch_is_the_phase_fixed_qr_of_the_same_draw(seed):
     for m in range(1, 9):
         z = _gaussian(np.random.default_rng((seed, m)), 300, m)
         batch = haar_batch(m, 300, np.random.default_rng((seed, m)))
-        assert batch.shape == (300, m, m) and batch.flags.c_contiguous
+        assert batch.shape == (300, m, m)
         assert np.abs(batch - _phase_fixed_qr(z)).max() < 1e-12
 
 
@@ -98,9 +98,10 @@ def test_haar_batch_stays_unitary_on_near_dependent_columns(cond):
 def _chunk_from_haar_batch(rng, count, m, transform):
     """What ``_haar_chunk`` computes, from the contiguous stack of ``haar_batch``."""
     if transform == "project":
-        batch, branches = livsic_project_batch(haar_batch(m + 1, count, rng))
+        stack = np.ascontiguousarray(haar_batch(m + 1, count, rng))
+        batch, branches = livsic_project_batch(stack)
         return uh._moment_values(batch), (branches, unitarity_defect(batch))
-    batch = haar_batch(m, count, rng)
+    batch = np.ascontiguousarray(haar_batch(m, count, rng))
     if transform == "left":
         batch = uh._fourier_unitary(m) @ batch
     elif transform == "right":
@@ -321,6 +322,28 @@ def test_empty_unitary_size_is_rejected(m):
         haar_batch(m, 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="size must be >= 1"):
         sample_moments(m, 100, seed=1)
+
+
+@pytest.mark.parametrize("transform", ["direct", "project", "left", "right"])
+def test_a_size_below_one_is_rejected_before_sampling(monkeypatch, transform):
+    monkeypatch.setattr(uh, "estimate", None)  # never reached
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        sample_moments(0, 100, seed=1, transform=transform)
+
+
+def test_the_projected_route_rejects_a_size_below_one():
+    # it projected a 1x1 stack to a 0x0 one and ended in an IndexError
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        pushforward_consistency(0, 100, seed=1)
+    with pytest.raises(ValueError, match="input must be at least 2x2"):
+        livsic_project_batch(np.ones((3, 1, 1), dtype=complex))
+
+
+def test_an_unknown_transform_is_rejected_before_sampling(monkeypatch):
+    # "sideways" used to fall through to the direct moments
+    monkeypatch.setattr(uh, "estimate", None)  # never reached
+    with pytest.raises(ValueError, match="transform must be one of .*, got 'sideways'"):
+        sample_moments(2, 100, seed=1, transform="sideways")
 
 
 def _moment_bits(result) -> bytes:
