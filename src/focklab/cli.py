@@ -26,15 +26,12 @@ from . import polycalc as pc
 from . import semigroups as sg
 from . import unitary_haar as uh
 from .suites import (  # noqa: F401  (Case and TOLERANCE_NAMES are re-exported)
-    SUITE_RUNNERS, TOLERANCE_NAMES, Case, RunConfig, run_suite,
+    SUITE_RUNNERS, TOLERANCE_NAMES, Case, RunConfig, check_levels, run_suite,
 )
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    levels = tuple(int(v) for v in text.split(","))
-    if min(levels) < 1:
-        raise ValueError(f"levels must be positive, got {text!r}")
-    return levels
+    return check_levels(tuple(int(v) for v in text.split(",")))
 
 
 def _parse_tol(item: str) -> tuple[str, float]:

@@ -36,8 +36,8 @@ class HardyChiFunction(FockVector):
     """
 
     @classmethod
-    def constant(cls, spec: TruncationSpec, value=1.0) -> "HardyChiFunction":
-        return cls.vacuum(spec, value)
+    def constant(cls, spec: TruncationSpec) -> "HardyChiFunction":
+        return cls.vacuum(spec)
 
     def norm_sq(self, kind: str = GRAM_W) -> float:
         """Sum of |coefficient|^2 times the Gram weight, computed apart from
@@ -89,9 +89,10 @@ def _transport(f: HardyChiFunction, op) -> HardyChiFunction:
 def mult_group_chi(f: HardyChiFunction, a: EVector, variant: str) -> HardyChiFunction:
     """Multiplicative group element realised through the annihilation exponential.
 
-    The annihilation variant is a run parameter; the transform intertwines
-    this operator with the coefficient shift whose readout matches the
-    variant ("w_adjoint" with the weighted readout, "monomial" with the
+    The annihilation variant is a run parameter and picks the Gram in which
+    ``exp_annihilation`` takes the adjoint of ``exp_creation``; the transform
+    intertwines this operator with the coefficient shift whose readout matches
+    the variant ("w_adjoint" with the weighted readout, "monomial" with the
     plain one).
     """
     return _transport(f, exp_annihilation(a, f.spec, variant))

@@ -2,11 +2,12 @@
 
 Operators are stored as dense blocks between degree subspaces; a block acts
 on the rows of one degree of the workspace layout.  Adjoints are computed
-from the block matrices and the diagonal Gram of the chosen inner product, so
-the closed-form annihilation action on monomials stays available as an
-independent oracle.
+from the block matrices and the diagonal Gram of the chosen inner product.
+Both annihilation exponentials are Gram adjoints of ``exp_creation``, the
+variant picking the Gram; ``annihilation_monomial`` stays the independent
+closed form of the plain-Gram one.
 Each creation block is one gather from one amplitude array, through a table
-cached per (spec, source degree, order); the exponential groups write the
+cached per (spec, source degree, order); the creation exponential writes the
 blocks of every order into one dict.
 """
 
@@ -187,22 +188,14 @@ def exp_creation(a: EVector, spec: TruncationSpec) -> OperatorMatrix:
 
 
 def exp_annihilation(a: EVector, spec: TruncationSpec, variant: str) -> OperatorMatrix:
-    """Exponential annihilation group element, in one of two inequivalent forms.
+    """Exponential annihilation group element: the adjoint of ``exp_creation``
+    in the Gram of the variant's ``readout``.
 
-    ``monomial``: sums the plain-Gram adjoints of the creation powers; this is
-    the operator whose action on monomials is ``annihilation_monomial``.
-    ``w_adjoint``: the true adjoint of ``exp_creation`` in the weighted Gram.
+    ``monomial`` (plain Gram) is the series over m of ``annihilation_monomial``
+    at order m over m!; ``w_adjoint`` (weighted Gram) is the true adjoint.
     The two differ; a pinned witness lives in the test suite.
     """
-    if variant == MONOMIAL:
-        created = OperatorMatrix(spec, _creation_blocks(a, spec, 1, spec.max_degree))
-        op = OperatorMatrix.identity(spec)
-        op.blocks.update({(src, tgt): (1.0 / math.factorial(src - tgt)) * block
-                          for (src, tgt), block in adjoint(GRAM_H, created).blocks.items()})
-        return op
-    if variant == W_ADJOINT:
-        return adjoint(GRAM_W, exp_creation(a, spec))
-    raise ValueError(f"unknown annihilation variant {variant!r}")
+    return adjoint(readout(variant), exp_creation(a, spec))
 
 
 # -- raw binary export ------------------------------------------------------

@@ -120,13 +120,7 @@ def gw_shift_quadrature(
     return HardyWFunction.from_coefficients(out @ weights, f.spec, f.pairing)
 
 
-def gw_chi(
-    f: HardyChiFunction,
-    a: EVector,
-    r: float,
-    which: str,
-    nodes: int = DEFAULT_NODES,
-) -> HardyChiFunction:
+def gw_chi(f: HardyChiFunction, a: EVector, r: float, which: str) -> HardyChiFunction:
     """Semigroups carried to the other Hardy model by transform conjugation.
 
     ``which="shift"`` conjugates the multiplicative-side semigroup (generated
@@ -136,7 +130,7 @@ def gw_chi(
     """
     g = f_transform(f)
     if which == GW_SHIFT:
-        out = gw_mult(g, a, r, nodes)
+        out = gw_mult(g, a, r)
     elif which == GW_MULT:
         out = gw_shift(g, a, r)
     else:

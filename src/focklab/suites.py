@@ -182,6 +182,13 @@ def _tolerance_name(name: str) -> str:
     return name
 
 
+def check_levels(levels: tuple[int, ...]) -> tuple[int, ...]:
+    """The sampling levels of a run: at least one, each >= 1."""
+    if not levels or min(levels) < 1:
+        raise ValueError(f"levels must be one or more integers >= 1, got {levels}")
+    return levels
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 20240801
@@ -197,6 +204,7 @@ class RunConfig:
         for name, least in (("seed", 0), ("samples", 1), ("margin", 0), ("workers", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        check_levels(self.levels)
         if self.variant not in ops.VARIANTS:
             raise ValueError(f"variant must be one of {ops.VARIANTS}, got {self.variant!r}")
         # one spelling per set of overrides: sorted, the last of a name wins

@@ -40,9 +40,9 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(prod).max())
 
 
-def assert_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def assert_unitary(u: np.ndarray) -> None:
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise ValueError(f"matrix fails the unitarity check: defect {defect:.3e}")
 
 
@@ -51,10 +51,10 @@ def substream(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk_index,)))
 
 
-def chunk_plan(samples: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
+def chunk_plan(samples: int) -> list[tuple[int, int]]:
     """Fixed partition of a sample budget into (chunk_index, count) pieces."""
-    starts = range(0, samples, chunk)
-    return [(index, min(chunk, samples - start)) for index, start in enumerate(starts)]
+    starts = range(0, samples, DEFAULT_CHUNK)
+    return [(index, min(DEFAULT_CHUNK, samples - start)) for index, start in enumerate(starts)]
 
 
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:

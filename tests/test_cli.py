@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -372,6 +373,42 @@ def test_run_config_refuses_an_unlisted_tolerance():
 
 def test_malformed_levels_is_one_error_line(capsys):
     assert "--levels" in _one_error_line(capsys, ["run", "weights", "--levels", "a"])
+
+
+@pytest.mark.parametrize("levels", [(), (0,), (1, 0), (2, -1)])
+def test_run_config_rejects_levels_no_run_can_use(levels):
+    # () used to pass the ftransform suite with no level checked, and (0,) to
+    # end inside it in "sampling level 0: unitary size must be >= 1"
+    with pytest.raises(ValueError, match=re.escape(
+            f"levels must be one or more integers >= 1, got {levels}")):
+        cli.RunConfig(levels=levels)
+
+
+@pytest.mark.parametrize("command", ["run", "ftransform"])
+def test_a_level_below_one_flag_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    monkeypatch.setattr(cli.hc, "mc_f_transform", None)
+    fn, pts = tmp_path / "chi.json", tmp_path / "pts.json"
+    fn.write_text(json.dumps(cli.chi_to_payload(HardyChiFunction(SPEC, {BasisKey.vacuum(): 1.0}))))
+    pts.write_text(json.dumps({"points": [[[0.5, 0.0], [0.0, 0.0]]]}))
+    argv = (["run", "ftransform"] if command == "run" else
+            ["ftransform", "--function", str(fn), "--points", str(pts)])
+    err = _one_error_line(capsys, argv + ["--levels", "1,0", "--out", str(tmp_path / "out")])
+    assert err == "focklab: error: --levels: levels must be one or more integers >= 1, got (1, 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "heisenberg"])
+def test_a_level_below_one_in_a_config_file_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                                               command):
+    monkeypatch.setattr(cli, "run_suite", None)  # never reached
+    path = tmp_path / "cfg"
+    path.write_text("levels = 0\n")
+    argv = [command] + (["ftransform"] if command == "run" else []) + ["--config", str(path)]
+    err = _one_error_line(capsys, argv + ["--out", str(tmp_path / "out")])
+    assert err == (f"focklab: error: {path}: config key 'levels': "
+                   "levels must be one or more integers >= 1, got (0,)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["max_degree = 5", "dim = 3"])

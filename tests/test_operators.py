@@ -363,17 +363,15 @@ def _scatter_creation(a, m, spec):
 
 
 def _scatter_reference(a, spec):
-    """Creation blocks of every order, exp_creation and the two exp_annihilation
-    variants, each exponential as the identity plus order after order of
-    scaled scatter-built blocks."""
+    """Creation blocks of every order, exp_creation as the identity plus order
+    after order of scaled scatter-built blocks, and the two exp_annihilation
+    variants as its plain-Gram and weighted-Gram adjoints."""
     created = {m: _scatter_creation(a, m, spec) for m in range(1, spec.max_degree + 2)}
     exp_c = OperatorMatrix.identity(spec).blocks
-    exp_mono = OperatorMatrix.identity(spec).blocks
     for m in range(1, spec.max_degree + 1):
         s = 1.0 / math.factorial(m)
         exp_c.update({k: s * b for k, b in created[m].items()})
-        exp_mono.update({k: s * b for k, b in
-                         adjoint(GRAM_H, OperatorMatrix(spec, created[m])).blocks.items()})
+    exp_mono = adjoint(GRAM_H, OperatorMatrix(spec, exp_c)).blocks
     exp_w = adjoint(GRAM_W, OperatorMatrix(spec, exp_c)).blocks
     return created, exp_c, exp_mono, exp_w
 
@@ -405,6 +403,26 @@ def test_gather_assembly_equals_the_scatter_reference_bitwise(max_degree, dim):
         _same_bits(exp_creation(a, spec).blocks, exp_c)
         _same_bits(exp_annihilation(a, spec, MONOMIAL).blocks, exp_mono)
         _same_bits(exp_annihilation(a, spec, W_ADJOINT).blocks, exp_w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_degree", range(7))
+def test_exp_annihilation_is_the_gram_adjoint_of_exp_creation_bitwise(max_degree, dim):
+    # the amplitude sets of test_gather_assembly_equals_the_scatter_reference_bitwise
+    spec = TruncationSpec(max_degree, dim)
+    generic = _rand(np.random.default_rng(10 * max_degree + dim), dim)
+    amplitudes = (
+        generic,
+        EVector((0j,) + generic.coords[1:]),
+        EVector(tuple(complex(-0.0, z.imag) if k % 2 else complex(z.real, -0.0)
+                      for k, z in enumerate(generic.coords))),
+        EVector((-0.0,) + tuple(z.real for z in generic.coords[1:])),
+        EVector.zero(dim),
+    )
+    for a in amplitudes:
+        for variant in (MONOMIAL, W_ADJOINT):
+            _same_bits(exp_annihilation(a, spec, variant).blocks,
+                       adjoint(readout(variant), exp_creation(a, spec)).blocks)
 
 
 def _compose_all_pairs(left, right):

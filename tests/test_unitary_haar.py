@@ -290,7 +290,7 @@ def test_substream_reproducibility_and_worker_independence():
 
 
 def test_chunk_plan_partition():
-    plan = chunk_plan(20001, 8192)
+    plan = chunk_plan(20001)
     assert [count for _, count in plan] == [8192, 8192, 3617]
     assert [index for index, _ in plan] == [0, 1, 2]
 
