@@ -1,13 +1,15 @@
 # Haar sampling, corner projections, and virtual unitaries.
 #
-# Unitaries are drawn by orthonormalising the columns of complex Gaussian
-# matrices with Gram-Schmidt, run twice per column over a whole batch at once.
-# That gives the Q of the QR factorisation whose R has a positive diagonal,
-# i.e. LAPACK's QR with the phases of the R-diagonal fixed, which is exactly
-# Haar distributed.  The corner map sends a unitary of size m+1 to one of
-# size m; iterating it below a fixed top matrix yields the stabilised
-# sequences ("virtual unitaries") and the projected matrices are distributed
-# exactly like direct Haar samples one size down.
+# Unitaries are drawn by the subgroup algorithm over a whole batch at once:
+# each is a product of m unitary reflections, the k-th fixed by a normalised
+# complex Gaussian vector of C^(m-k) and padded by an identity block, so a
+# sample costs m(m+1)/2 complex normals and no orthonormalisation.  The
+# first column is uniform on the sphere and the rest is Haar one size down,
+# so the product is exactly Haar distributed.  The corner map sends a
+# unitary of size m+1 to one of size m; iterating it below a fixed top
+# matrix yields the stabilised sequences ("virtual unitaries") and the
+# projected matrices are distributed exactly like direct Haar samples one
+# size down.
 
 import numpy as np
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from types import MappingProxyType
 
@@ -94,10 +93,17 @@ class Layout:
 
     @cached_property
     def exponents(self) -> np.ndarray:
-        d = self.spec.dim
-        counts = (combo.count(k) for n in range(self.spec.max_degree + 1)
-                  for combo in combinations_with_replacement(range(d), n) for k in range(d))
-        return _read_only(np.fromiter(counts, np.int64, self.size * d).reshape(self.size, d))
+        """Each degree block in descending lexicographic order, built one
+        variable at a time: the degree-n rows of j + 1 variables are e_0 = n - s
+        beside each row of degree s <= n of the last j, in that table's order."""
+        top = self.spec.max_degree
+        table = np.arange(top + 1, dtype=np.int64)[:, None]
+        for j in range(1, self.spec.dim):
+            counts = np.array([math.comb(n + j, j) for n in range(top + 1)])
+            degree = np.repeat(np.arange(top + 1), counts)
+            rest = table[np.arange(degree.size) - np.repeat(np.cumsum(counts) - counts, counts)]
+            table = np.column_stack([degree - rest.sum(axis=1), rest])
+        return _read_only(table)
 
     @cached_property
     def degree(self) -> np.ndarray:

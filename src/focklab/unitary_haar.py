@@ -1,13 +1,14 @@
 """Haar-distributed unitaries, Livšic projections, and virtual unitaries.
 
-Sampling orthonormalises complex Gaussian matrices Z = QR by Gram-Schmidt, a
-whole chunk at once; Q with R_jj > 0, the QR factor with the phase fix
-R_jj/|R_jj|, is exactly Haar (Mezzadri 2007).  ``haar_batch`` is the one
-sampler, and it returns its column array as a transposed view, so no copy of
-a chunk is made.  Every Monte Carlo estimate runs
-through ``estimate``: chunk i of the budget draws from
-``SeedSequence(seed, spawn_key=(i,))`` and the chunks' statistics merge in
-chunk order, so results are bitwise reproducible for any worker count.
+Sampling is the subgroup algorithm (Stewart 1980; Diaconis & Shahshahani
+1987): a product of m unitary reflections, each fixed by one normalised
+complex Gaussian vector, built for a whole chunk at once from m(m+1)/2
+complex normals per sample.  ``haar_batch`` is the one sampler, and it
+returns its column array as a transposed view, so no copy of a chunk is
+made.  Every Monte Carlo estimate runs through ``estimate``: chunk i of the
+budget draws from ``SeedSequence(seed, spawn_key=(i,))`` and the chunks'
+statistics merge in chunk order, so results are bitwise reproducible for
+any worker count.
 A virtual unitary of U(infinity) is fixed by its top matrix alone: the levels
 below are its Livšic projections, the levels above pad it by an identity.
 """
@@ -60,24 +61,42 @@ def chunk_plan(samples: int) -> list[tuple[int, int]]:
 def haar_batch(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` Haar unitaries of size m, shape (count, m, m).
 
-    Each is the phase-fixed QR factor Q (R_jj > 0) of a standard complex
-    Gaussian matrix, found by classical Gram-Schmidt run twice per column
-    ("twice is enough": Giraud, Langou & Rozložník 2005).  Each step treats
-    one column of every sample at once, as one array operation, so the
-    chunk is built in column order, entry [j, i, s] being U_s[i, j]; the
-    stack is the transposed view of that array, not a C-contiguous copy.
+    Each is U = H(x_0) diag(1, H(x_1) diag(1, ...)), the subgroup algorithm
+    (Stewart 1980; Diaconis & Shahshahani 1987).  Level k draws a standard
+    complex Gaussian v_k in C^(m-k) and takes x_k = v_k/|v_k|;
+    H(x) = -phi (I - w w*/(1 + |x_1|)) with w = e_1 + conj(phi) x and
+    phi = x_1/|x_1| (phi = 1 where x_1 = 0) is a unitary reflection whose
+    first column is x.  So the first column of U is uniform on the sphere,
+    the rest is H(x_0) times a Haar unitary one size down, and U is Haar.
+    The denominator is at least 1: there is no orthonormalisation to fail.
+
+    Draw order: one ``standard_normal`` call per level k = 0..m-1 fills
+    rows k..m-1 of column k, row by row, each row sample by sample with the
+    real and imaginary parts interleaved.  The chunk is built in column
+    order, entry [j, i, s] being U_s[i, j]: column k is normalised in place,
+    and from the last level up H(x_k) updates the later columns one at a
+    time.  The stack is the transposed view of that array, not a
+    C-contiguous copy.
     """
     if m < 1:
         raise ValueError("size must be >= 1")
     q = np.empty((m, m, count), dtype=complex)
-    q.real = rng.standard_normal((count, m, m)).transpose(2, 1, 0)
-    q.imag = rng.standard_normal((count, m, m)).transpose(2, 1, 0)
-    for j, col in enumerate(q):
-        for _ in range(2 if j else 0):
-            coeffs = np.einsum("kic,ic->kc", q[:j], col.conj()).conj()
-            for k, c in enumerate(coeffs):
-                col -= q[k] * c
-        col /= np.linalg.norm(col, axis=0)
+    for k in range(m):
+        rng.standard_normal(out=q[k, k:].view(np.float64))
+        q[k, k:] /= np.linalg.norm(q[k, k:], axis=0)
+    for k in range(m - 2, -1, -1):
+        x1, tail = q[k, k], q[k, k + 1:]
+        size = np.abs(x1)
+        phase = np.divide(x1, size, out=np.ones_like(x1), where=size > 0)
+        conj, reflected = tail.conj(), tail / (1.0 + size)
+        for col in q[k + 1:]:
+            # H(x_k) (0, u): row k is phi^2 <tail, u>, the rows below are
+            # -phi (u - tail <tail, u> / (1 + |x_1|))
+            u = col[k + 1:]
+            inner = np.einsum("ic,ic->c", conj, u)
+            u -= reflected * inner
+            u *= -phase
+            col[k] = phase * phase * inner
     return q.transpose(2, 1, 0)
 
 

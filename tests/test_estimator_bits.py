@@ -59,27 +59,27 @@ def _pair():
 GOLDEN = {
     "sample_moments.direct": (
         lambda: _moments("direct"),
-        "9cf5ebff644bc3763d3aa2a79fc88ba5ad8c189f1c693a95faeec3686ae451df",
+        "0d67bc2ec92a74dc7aa7735d5947a1691846da62489f2bb7c02bc9012723fbdc",
     ),
     "sample_moments.project": (
         lambda: _moments("project"),
-        "4a2ba0af48186b3098665c40933796619f519c1d5c4e36c726c4dcc1b8d0a524",
+        "03dde583716d18fdce13402f9bfe0fb877ce127af44df67149a4837857760b9a",
     ),
     "invariance_report": (
         _invariance,
-        "33fb0a4b74b0a0dafbca1d0c8e2fd6f9495535244622a1ad15c52b3faac92de4",
+        "d136468d69cd77638fe87c40e7abea8d43d6a3e2a47ae51dc8680716019c4565",
     ),
     "pushforward_consistency": (
         _pushforward,
-        "2571a45bd71ebba37d917f83bbd6e794fe6b198c5e9be2d9aac006ae46d02a1c",
+        "904a482ffb5e7508d1c4d1d21e0bcdaa1d3741cfee95ac61ea3973922c80aaf3",
     ),
     "mc_f_transform": (
         _transform,
-        "51e28ebc32792eca0befbb483158a4245d9504e0567d1df8df1444cf22532564",
+        "4e31bb5e6b133407367f79bbc13b2a07513df29c7a4b01f93c9e8a5c25e0f6eb",
     ),
     "mc_pair_integral": (
         _pair,
-        "7bf1e0af97616f2ad7e7998ebc972ba5811c872e6843334eda066808b90131cc",
+        "96039d7b86cf9ac5accd7cf63aef0eb446745dff4ceea9aade69796dd8800204",
     ),
 }
 

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from focklab.fock_core import (
     FockVector,
     GRAM_H,
     GRAM_W,
+    Layout,
     TruncationOverflowError,
     TruncationSpec,
     exponential_vector,
@@ -300,6 +302,25 @@ def test_rational_vectors_stay_exact(a, b, s):
         value = inner(kind, u, v)
         assert isinstance(value, Fraction)
         assert value == sum(c * v.coeffs.get(k, 0) * weight(k.diagram) for k, c in u.coeffs.items())
+
+
+# -- the exponent table ---------------------------------------------------------
+
+
+def _generated_exponents(cap, dim):
+    """The table as a generator over ``combinations_with_replacement`` builds it."""
+    counts = (combo.count(k) for n in range(cap + 1)
+              for combo in combinations_with_replacement(range(dim), n) for k in range(dim))
+    size = math.comb(cap + dim, dim)
+    return np.fromiter(counts, np.int64, size * dim).reshape(size, dim)
+
+
+@pytest.mark.parametrize("cap, dim", [(cap, dim) for cap in range(13) for dim in range(1, 6)]
+                         + [(22, 3), (38, 3)])
+def test_exponent_table_is_the_combination_order(cap, dim):
+    rows = Layout(TruncationSpec(cap, dim))
+    assert rows.exponents.dtype == np.int64 and not rows.exponents.flags.writeable
+    assert np.array_equal(rows.exponents, _generated_exponents(cap, dim))
 
 
 # -- the row lookup -------------------------------------------------------------

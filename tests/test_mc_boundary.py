@@ -62,8 +62,8 @@ def test_estimate_is_the_one_path_through_the_protocol():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_no_module_calls_a_lapack_qr(path):
-    # Haar samples come from the one Gram-Schmidt sampler in ``haar_batch``;
-    # LAPACK's QR stays in the tests as its independent oracle.
+    # Haar samples come from the one Householder sampler in ``haar_batch``,
+    # which builds each unitary from reflections and needs no QR.
     assert _called_names(ast.parse(path.read_text()))["qr"] == 0
 
 
@@ -83,6 +83,35 @@ def _tree(stem: str):
 def test_haar_batch_is_the_one_sampler():
     assert _callers(_tree(OWNER), "standard_normal") == ["haar_batch"]
     assert all("_haar_columns" not in _defined(ast.parse(p.read_text())) for p in SOURCES)
+
+
+def _draws(tree, name: str) -> list[ast.Call]:
+    """The ``standard_normal`` calls inside the top-level function ``name``."""
+    function = next(node for node in tree.body if getattr(node, "name", None) == name)
+    return [node for node in ast.walk(function) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "standard_normal"]
+
+
+def _draws_in_place(calls: list[ast.Call]) -> bool:
+    return bool(calls) and all(not c.args and [k.arg for k in c.keywords] == ["out"] for c in calls)
+
+
+def test_haar_batch_draws_in_place():
+    # every level is drawn through ``out=`` into the array the stack views
+    assert _draws_in_place(_draws(_tree(OWNER), "haar_batch"))
+
+
+def test_guard_sees_a_sized_draw():
+    tree = ast.parse(
+        "def haar_batch(m, count, rng):\n"
+        "    q = np.empty((m, m, count), dtype=complex)\n"
+        "    q.real = rng.standard_normal((count, m, m)).transpose(2, 1, 0)\n"
+        "    q.imag = rng.standard_normal(size=(count, m, m)).transpose(2, 1, 0)\n"
+    )
+    calls = _draws(tree, "haar_batch")
+    assert len(calls) == 2 and not _draws_in_place(calls)
+    assert not _draws_in_place(calls[1:])
+    assert not _draws_in_place([])
 
 
 @pytest.mark.parametrize("module, kernel", [(OWNER, "_haar_chunk"),

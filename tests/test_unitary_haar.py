@@ -46,53 +46,131 @@ def test_haar_phase_at_m1():
     assert np.max(np.abs(mods - 1.0)) < 1e-12
 
 
-def _gaussian(rng, count, m):
-    """The draw ``haar_batch`` makes: real parts first, then imaginary parts."""
-    return rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+def _levels(rng, m, count):
+    """The draw ``haar_batch`` makes, normalised: level k is (m - k, count)."""
+    levels = []
+    for k in range(m):
+        v = rng.standard_normal(2 * (m - k) * count).view(complex).reshape(m - k, count)
+        levels.append(v / np.linalg.norm(v, axis=0))
+    return levels
 
 
-def _phase_fixed_qr(z):
-    """LAPACK QR with the phases of R's diagonal moved into Q: the oracle route."""
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("...ii->...i", r)
-    return q * (diag / np.abs(diag))[:, None, :]
+def _reflection(x):
+    """H(x) = -phi (I - w w*/(1 + |x_1|)), w = e_1 + conj(phi) x; phi = 1 where x_1 = 0."""
+    size = abs(x[0])
+    phi = x[0] / size if size > 0 else 1.0
+    eye = np.eye(len(x), dtype=complex)
+    w = eye[0] + np.conj(phi) * x
+    return -phi * (eye - np.outer(w, w.conj()) / (1.0 + size))
+
+
+def _householder_product(xs):
+    """H(x_0) diag(1, H(x_1) diag(1, ...)) as a product of dense m x m matrices."""
+    m = len(xs)
+    u = np.eye(m, dtype=complex)
+    for k, x in enumerate(xs):
+        block = np.eye(m, dtype=complex)
+        block[k:, k:] = _reflection(x)
+        u = u @ block
+    return u
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_haar_batch_is_the_phase_fixed_qr_of_the_same_draw(seed):
+def test_haar_batch_is_the_householder_product_of_the_same_draw(seed):
     for m in range(1, 9):
-        z = _gaussian(np.random.default_rng((seed, m)), 300, m)
+        levels = _levels(np.random.default_rng((seed, m)), m, 300)
         batch = haar_batch(m, 300, np.random.default_rng((seed, m)))
         assert batch.shape == (300, m, m)
-        assert np.abs(batch - _phase_fixed_qr(z)).max() < 1e-12
+        want = np.stack([_householder_product([x[:, s] for x in levels]) for s in range(300)])
+        assert np.abs(batch - want).max() <= 1e-13, m
+        first = np.ascontiguousarray(batch[:, :, 0])
+        assert first.tobytes() == np.ascontiguousarray(levels[0].T).tobytes(), m
 
 
 class _Planted:
-    """Stands in for a generator: hands out the real, then the imaginary part of Z."""
+    """Stands in for a generator: fills ``out`` with the next planted level."""
 
-    def __init__(self, z):
-        self.parts = [z.real.copy(), z.imag.copy()]
+    def __init__(self, levels):
+        self.levels = list(levels)
 
-    def standard_normal(self, shape):
-        assert shape == self.parts[0].shape
-        return self.parts.pop(0)
+    def standard_normal(self, *, out):
+        out[...] = self.levels.pop(0).view(np.float64)
+
+
+def _planted_unit(kind, n):
+    """A unit vector of C^n whose norm rounds to exactly 1."""
+    x = np.zeros(n, dtype=complex)
+    if kind == "zero pivot" and n > 2:
+        x[1], x[2] = 0.6, 0.8j
+    elif kind == "zero pivot" and n == 2:
+        x[1] = 1.0
+    elif kind == "tiny tail":
+        x[0] = -0.6 + 0.8j
+        x[1:3] = [1e-300, -1e-300j][: n - 1]
+    else:
+        x[0] = 0.8 - 0.6j if kind == "+e1" else -(0.8 - 0.6j)
+    return x
+
+
+def test_haar_batch_stays_unitary_on_planted_pivots():
+    # x_1 = 0 exactly, x = +-e_1 times a phase, and a tail of size 1e-300
+    kinds = ["zero pivot", "+e1", "-e1", "tiny tail"]
+    for m in range(1, 7):
+        count = 2 * len(kinds)
+        levels = [np.stack([_planted_unit(kinds[(s + k) % len(kinds)], m - k)
+                            for s in range(count)], axis=1) for k in range(m)]
+        assert np.array_equal(np.linalg.norm(levels[0], axis=0), np.ones(count))
+        batch = haar_batch(m, count, _Planted(levels))
+        assert np.isfinite(batch).all(), m
+        assert unitarity_defect(batch) <= 1e-13, m
+        assert np.ascontiguousarray(batch[:, :, 0]).tobytes() == levels[0].T.tobytes(), m
 
 
 @pytest.mark.parametrize("cond", [1e4, 1e8, 1e12])
 def test_haar_batch_stays_unitary_on_near_dependent_columns(cond):
+    # plant the columns of Z = A diag(s) B, singular values from 1 down to
+    # 1/cond: level k is column k of Z from row k down, so the levels are
+    # near-dependent and their norms spread over the range of s
     rng = np.random.default_rng(13)
     m, count = 6, 400
-    # Z = A diag(s) B with singular values from 1 down to 1/cond
-    a, b = _phase_fixed_qr(_gaussian(rng, count, m)), _phase_fixed_qr(_gaussian(rng, count, m))
+    a, b = (np.linalg.qr(rng.standard_normal((count, m, m)) + 1j * rng.standard_normal(
+        (count, m, m)))[0] for _ in range(2))
     z = (a * np.logspace(0, -math.log10(cond), m)) @ b
-    q = haar_batch(m, count, _Planted(z))
-    assert unitarity_defect(q) <= 1e-13
-    r = np.swapaxes(q.conj(), -1, -2) @ z
-    assert np.abs(np.tril(r, -1)).max() <= 1e-14
-    diag = np.einsum("...ii->...i", r)
-    assert diag.real.min() > 0.0 and np.abs(diag.imag).max() <= 1e-14
-    # only the agreement with LAPACK degrades, as cond * eps
-    assert np.abs(q - _phase_fixed_qr(z)).max() <= 100 * cond * np.finfo(float).eps
+    levels = [np.ascontiguousarray(z[:, k:, k].T) for k in range(m)]
+    batch = haar_batch(m, count, _Planted(levels))
+    assert np.isfinite(batch).all()
+    assert unitarity_defect(batch) <= 1e-13
+    units = [v / np.linalg.norm(v, axis=0) for v in levels]
+    assert np.ascontiguousarray(batch[:, :, 0]).tobytes() == units[0].T.tobytes()
+    # each level is normalised before it is used, so the agreement with the
+    # dense product does not degrade with cond
+    want = np.stack([_householder_product([x[:, s] for x in units]) for s in range(count)])
+    assert np.abs(batch - want).max() <= 1e-13
+
+
+class _Recording:
+    """Stands in for a generator: draws from a real one and records each call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls.append((args, kwargs))
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_haar_batch_draws_m_levels_into_its_own_array():
+    # m(m+1)/2 complex normals per sample, drawn in place; a Gaussian matrix takes m^2
+    for m in range(1, 7):
+        for count in (1, 5):
+            rng = _Recording(m)
+            batch = haar_batch(m, count, rng)
+            assert len(rng.calls) == m, (m, count)
+            assert all(args == () and list(kwargs) == ["out"] for args, kwargs in rng.calls)
+            outs = [kwargs["out"] for _, kwargs in rng.calls]
+            assert all(out.dtype == np.float64 and np.shares_memory(out, batch) for out in outs)
+            assert sum(out.size for out in outs) == count * m * (m + 1)
 
 
 def _chunk_from_haar_batch(rng, count, m, transform):
@@ -193,6 +271,32 @@ def test_moments_match_exact_oracles(transform):
         for (kind, k), (mean, stderr) in means.items():
             z = uh.z_score(mean, float(oracle[kind](m, k)), stderr)
             assert abs(z) < 4.0, (transform, m, kind, k, z)
+
+
+def _joint_kernel(rng, count, m):
+    """Joint moments that read later columns, not only the first column or the trace."""
+    u = haar_batch(m, count, rng)
+    return {
+        "u11_u22": np.abs(u[:, 0, 0]) ** 2 * np.abs(u[:, 1, 1]) ** 2,
+        "u11_u22_u12_u21": u[:, 0, 0] * u[:, 1, 1] * (u[:, 0, 1] * u[:, 1, 0]).conj(),
+        "um1": np.abs(u[:, m - 1, 0]) ** 2,
+        "u1m": np.abs(u[:, 0, m - 1]) ** 2,
+    }, None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_joint_moments_match_weingarten_values(m):
+    # Wg(e) = 1/(m^2 - 1) and Wg((12)) = -1/(m(m^2 - 1)) (Collins & Sniady 2006)
+    exact = {
+        "u11_u22": Fraction(1, m * m - 1),
+        "u11_u22_u12_u21": Fraction(-1, m * (m * m - 1)),
+        "um1": Fraction(1, m),
+        "u1m": Fraction(1, m),
+    }
+    means, _ = estimate(_joint_kernel, (m,), 40000, seed=80 + m)
+    assert set(means) == set(exact)
+    for name, (mean, stderr) in means.items():
+        assert abs(uh.z_score(mean, float(exact[name]), stderr)) <= 5.0, (m, name)
 
 
 def test_moment_estimates_match_exact():
